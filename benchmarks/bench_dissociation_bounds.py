@@ -42,7 +42,7 @@ from repro.urel.conditions import Condition
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
-from repro.util.parallel import ShardExecutor
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 
 N_EXACT = 12  # repair-key groups: confidence exactly 3/5
 N_CLEAR = 4  # random bipartite 2-DNF groups the budgeted solver finishes
@@ -83,7 +83,7 @@ def bounds_db() -> UDatabase:
     return db
 
 
-def _run(bounds_budget, executor=None):
+def _run(bounds_budget, executor=SERIAL_EXECUTOR):
     return evaluate_with_guarantee(
         SIGMA_QUERY,
         bounds_db(),

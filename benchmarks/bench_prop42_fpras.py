@@ -16,7 +16,6 @@ import pytest
 
 from repro.confidence import (
     HAS_NUMPY,
-    approximate_confidence,
     batch_approximate_confidence,
     karp_luby_sample_size,
     probability_by_decomposition,
@@ -31,7 +30,7 @@ def test_guarantee_failure_rate_below_delta():
     rng = random.Random(99)
     runs, failures = 80, 0
     for _ in range(runs):
-        est = approximate_confidence(dnf, eps, delta, rng)
+        est = batch_approximate_confidence(dnf, eps, delta, rng)
         if abs(est.estimate - truth) >= eps * truth:
             failures += 1
     assert failures / runs <= delta  # observed ≤ guaranteed
@@ -45,19 +44,9 @@ def test_sample_size_scalings():
     assert 1.0 < log_growth < 2.0  # ln(2/δ) growth only
 
 
-def test_benchmark_fpras_run(benchmark):
-    dnf = bipartite_2dnf(5, 5, edge_probability=0.5, rng=4)
-    est = benchmark(approximate_confidence, dnf, 0.2, 0.1, 11)
-    truth = float(probability_by_decomposition(dnf))
-    benchmark.extra_info["samples"] = est.samples
-    benchmark.extra_info["estimate"] = round(est.estimate, 4)
-    benchmark.extra_info["truth"] = round(truth, 4)
-    assert abs(est.estimate - truth) < 0.5 * truth  # sanity, not the bound
-
-
 @pytest.mark.parametrize("backend", ["numpy", "python"])
 def test_benchmark_fpras_batch_run(benchmark, backend):
-    """The same (ε, δ) budget drawn as one vectorized block per backend."""
+    """One (ε, δ) budget on each trial kernel."""
     if backend == "numpy" and not HAS_NUMPY:
         pytest.skip("numpy backend not available")
     dnf = bipartite_2dnf(5, 5, edge_probability=0.5, rng=4)

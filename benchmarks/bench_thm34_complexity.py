@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from repro.confidence import approximate_confidence, probability_by_enumeration
+from repro.confidence import batch_approximate_confidence, probability_by_enumeration
 from repro.generators.hard import bipartite_2dnf
 
 
@@ -36,7 +36,7 @@ def test_exact_exponential_vs_karp_luby_polynomial_shape():
         dnf = bipartite_2dnf(n, n, edge_probability=0.5, rng=n)
         exact_times.append(_time(lambda d=dnf: probability_by_enumeration(d)))
         kl_times.append(
-            _time(lambda d=dnf: approximate_confidence(d, 0.3, 0.3, rng=1))
+            _time(lambda d=dnf: batch_approximate_confidence(d, 0.3, 0.3, rng=1))
         )
     # Exponential growth: the largest exact run dwarfs the smallest by a
     # factor reflecting ~4^Δn world growth (allow generous slack).
@@ -58,7 +58,7 @@ def test_benchmark_exact_enumeration_n6(benchmark):
 
 def test_benchmark_karp_luby_n6(benchmark):
     dnf = bipartite_2dnf(6, 6, edge_probability=0.5, rng=6)
-    est = benchmark(approximate_confidence, dnf, 0.2, 0.2, 7)
+    est = benchmark(batch_approximate_confidence, dnf, 0.2, 0.2, 7, "python")
     assert 0 < est.estimate < 1
     benchmark.extra_info["samples"] = est.samples
 

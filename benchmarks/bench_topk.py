@@ -44,7 +44,7 @@ from repro.core.topk import race_topk
 from repro.engine.strategies import KarpLuby
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
-from repro.util.parallel import ShardExecutor
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 
 N_SINGLE = 100_000  # stage-1 fodder: exact enclosures, zero trials
 N_HARD = 48  # contested K4,4 candidates racing the k-boundary
@@ -102,7 +102,7 @@ def topk_workload(n_single: int, n_hard: int):
     return rows, dnfs
 
 
-def _race(rows, dnfs, eps=EPS, executor=None):
+def _race(rows, dnfs, eps=EPS, executor=SERIAL_EXECUTOR):
     return race_topk(
         rows,
         dnfs,

@@ -33,16 +33,8 @@ from repro.confidence.exact import (
     probability_by_decomposition,
     probability_by_enumeration,
 )
-from repro.confidence.karp_luby import (
-    KarpLubyEstimate,
-    KarpLubySampler,
-    approximate_confidence,
-)
-from repro.confidence.naive_mc import (
-    NaiveEstimate,
-    naive_confidence,
-    naive_sample_size_additive,
-)
+from repro.confidence.karp_luby import KarpLubyEstimate
+from repro.confidence.naive_mc import NaiveEstimate, naive_sample_size_additive
 
 __all__ = [
     "Dnf",
@@ -63,11 +55,8 @@ __all__ = [
     "probability_by_enumeration",
     "probability_by_decomposition",
     "EnumerationLimitError",
-    "KarpLubySampler",
     "KarpLubyEstimate",
-    "approximate_confidence",
     "NaiveEstimate",
-    "naive_confidence",
     "naive_sample_size_additive",
     "karp_luby_error_bound",
     "karp_luby_sample_size",

@@ -2,11 +2,9 @@
 
 The Karp–Luby FPRAS (Proposition 4.2: m = ⌈3·|F|·ln(2/δ)/ε²⌉ trials give
 Pr[|p̂ − p| ≥ ε·p] ≤ δ) and the naive world-sampling baseline both reduce
-to drawing many independent trials over the same disjunction F.  The
-scalar samplers in :mod:`repro.confidence.karp_luby` and
-:mod:`repro.confidence.naive_mc` draw one trial per Python iteration;
-this module draws a *block* of trials at once and evaluates every clause
-against the whole block with boolean array operations:
+to drawing many independent trials over the same disjunction F.  This
+module is the engine's one implementation of both: it draws a *block* of
+trials at once and evaluates the clauses against the whole block:
 
 * variables are integer-coded against their W-table domains, so a block
   of m world assignments is an (m × |vars(F)|) integer matrix sampled
@@ -19,9 +17,9 @@ against the whole block with boolean array operations:
   across blocks, preserving the *incremental* draw-more-trials contract
   that the Figure 3 predicate-approximation algorithm depends on.
 
-Two interchangeable backends implement the block primitives: ``numpy``
+Two interchangeable kernels implement the block primitives: ``numpy``
 (used automatically when NumPy is importable — install the package's
-``fast`` extra) and a dependency-free ``python`` fallback that produces
+``fast`` extra) and a dependency-free ``python`` kernel that produces
 the same statistics one trial at a time.  Both are deterministic under a
 fixed seed, though their streams differ; estimates agree exactly on
 degenerate disjunctions and within the Proposition 4.2 (ε, δ) bounds on
@@ -31,14 +29,15 @@ sampled ones.
 disjunctions against one shared block of world samples — the draw-once,
 evaluate-everything pattern behind ``ProbDB.confidence_all``.
 
-Every block entry point also takes an optional
-:class:`~repro.util.parallel.ShardExecutor`: the trial budget is then
-cut into per-worker blocks by the executor's worker-count-independent
-plan, each block draws from a generator seeded by its *block index*
-(:func:`~repro.util.parallel.spawn_shard_rng`), and the block statistics
-merge by trial-count weighting (positives and trials simply sum, so the
+Every entry point runs its trial budget through a
+:class:`~repro.util.parallel.ShardExecutor` (by default the serial
+:data:`~repro.util.parallel.SERIAL_EXECUTOR`): the budget is cut into
+blocks by the executor's worker-count-independent plan, each block draws
+from a generator seeded by its *block index*
+(:func:`~repro.util.parallel.shard_seed`), and the block statistics merge
+by trial-count weighting (positives and trials simply sum, so the
 estimate X·M/m is the weighted mean of the block estimates).  Results
-are bit-identical for any worker count, including the serial fallback.
+are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from repro.util.backends import (
     np as _np,
     resolve_backend,
 )
-from repro.util.parallel import ShardExecutor, shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -85,22 +84,29 @@ __all__ = [
 class _EncodedDnf:
     """A :class:`Dnf` lowered to integer codes for block evaluation.
 
-    ``variables`` fixes a column order (sorted by ``repr``, matching the
-    scalar samplers); each variable's domain values map to codes
-    ``0..k−1`` in the W table's iteration order, so sampling a value is
-    one inverse-CDF lookup.  Clause (variable, value) pairs become
+    ``variables`` fixes a column order (sorted by ``repr``); each
+    variable's domain values map to codes ``0..k−1`` in the W table's
+    iteration order, so sampling a value is one inverse-CDF lookup: the
+    code of uniform ``u`` is ``bisect_right(value_bounds[i], u)`` over
+    the cumulative probabilities minus the last (so a float sum short
+    of 1 still yields the last code).  ``clause_bounds`` does the same
+    for the member choice over the clause weights.
+    Members are sorted by ``repr`` too, carrying their weights: member
+    order is Definition 4.1's "smallest index" tie-break, and the order
+    a DNF's conditions arrive in follows ``frozenset`` iteration, which
+    changes with the hash seed.  Clause (variable, value) pairs become
     (column, code) pairs; a value outside its variable's domain gets the
     sentinel code −1, which no sampled world ever matches (the clause
-    has weight 0 and is unsatisfiable, exactly as in the scalar path).
+    has weight 0 and is unsatisfiable).
     """
 
     __slots__ = (
         "dnf",
         "variables",
-        "cumulative_probs",
+        "value_bounds",
         "member_pairs",
         "weights",
-        "cumulative_weights",
+        "clause_bounds",
         "total_weight",
     )
 
@@ -111,22 +117,81 @@ class _EncodedDnf:
             sorted(dnf.variables, key=repr) if variables is None else list(variables)
         )
         var_index = {v: i for i, v in enumerate(self.variables)}
-        self.cumulative_probs: list[list[float]] = []
+        self.value_bounds: list[list[float]] = []
         value_codes: list[dict] = []
         for var in self.variables:
             dist = dnf.w.distribution(var)
-            self.cumulative_probs.append(list(accumulate(float(p) for p in dist.values())))
+            self.value_bounds.append(list(accumulate(float(p) for p in dist.values()))[:-1])
             value_codes.append({value: code for code, value in enumerate(dist)})
-        self.member_pairs: list[tuple[tuple[int, int], ...]] = []
-        for member in dnf.members:
-            pairs = tuple(
+        members = sorted(zip(dnf.members, dnf.weights), key=lambda mw: repr(mw[0]))
+        self.member_pairs: list[tuple[tuple[int, int], ...]] = [
+            tuple(
                 (var_index[var], value_codes[var_index[var]].get(value, -1))
                 for var, value in sorted(member.items(), key=repr)
             )
-            self.member_pairs.append(pairs)
-        self.weights = [float(p) for p in dnf.weights]
-        self.cumulative_weights = list(accumulate(self.weights))
-        self.total_weight = self.cumulative_weights[-1] if self.cumulative_weights else 0.0
+            for member, _weight in members
+        ]
+        self.weights = [float(p) for _member, p in members]
+        cumulative = list(accumulate(self.weights))
+        self.clause_bounds = cumulative[:-1]
+        self.total_weight = cumulative[-1] if cumulative else 0.0
+
+
+# --------------------------------------------------------------------------
+# Trial by trial (the python kernel, and the numpy kernel's small blocks)
+# --------------------------------------------------------------------------
+
+
+def _codes(enc: _EncodedDnf, uniforms) -> list[int]:
+    """One world: variable ``i``'s code by inverse CDF of ``uniforms[i]``."""
+    return [bisect_right(bounds, u) for bounds, u in zip(enc.value_bounds, uniforms)]
+
+
+def _any_holds(members: Sequence[tuple[tuple[int, int], ...]], codes: list[int]) -> bool:
+    """Whether some clause holds in the world ``codes`` (stops at the first)."""
+    for pairs in members:
+        for column, code in pairs:
+            if codes[column] != code:
+                break
+        else:
+            return True
+    return False
+
+
+def _karp_luby_positives(enc: _EncodedDnf, trials) -> int:
+    """Count positives among Definition 4.1 trials, one per iteration.
+
+    Each trial is a row of uniforms: the first picks the clause, the
+    rest sample the variables.  The chosen clause holds in its own
+    extension by construction, so the trial succeeds iff no clause of
+    smaller index holds: only that prefix is tested, and the test stops
+    at the first clause that holds.
+    """
+    positives = 0
+    members = enc.member_pairs
+    for row in trials:
+        choice = bisect_right(enc.clause_bounds, row[0] * enc.total_weight)
+        codes = _codes(enc, row[1:])
+        for column, code in members[choice]:
+            codes[column] = code
+        if not _any_holds(members[:choice], codes):
+            positives += 1
+    return positives
+
+
+def _py_karp_luby_block(enc: _EncodedDnf, n: int, rng: random.Random) -> int:
+    draw = rng.random
+    width = 1 + len(enc.variables)
+    return _karp_luby_positives(enc, ([draw() for _ in range(width)] for _ in range(n)))
+
+
+def _py_naive_block(enc: _EncodedDnf, n: int, rng: random.Random) -> int:
+    draw = rng.random
+    width = len(enc.variables)
+    return sum(
+        _any_holds(enc.member_pairs, _codes(enc, [draw() for _ in range(width)]))
+        for _ in range(n)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -134,18 +199,21 @@ class _EncodedDnf:
 # --------------------------------------------------------------------------
 
 
-def _np_rng(rng: random.Random):
-    """A NumPy generator seeded deterministically from the session stream."""
-    return _np.random.default_rng(rng.getrandbits(64))
+def _np_small_block(enc: _EncodedDnf, n: int) -> bool:
+    """Whether ``n`` trials are cheaper evaluated one by one than as arrays.
+
+    Array operations cost a few microseconds per clause and per variable
+    at any block size, about what one trial costs in Python; a Figure 3
+    refinement round is only |F| trials.
+    """
+    return n < 16 + 2 * (len(enc.member_pairs) + len(enc.variables))
 
 
-def _np_sample_block(enc: _EncodedDnf, n: int, nrng):
-    """An (n × |vars|) block of world assignments, one inverse-CDF per column."""
-    block = _np.empty((n, len(enc.variables)), dtype=_np.int64)
-    for column, cum in enumerate(enc.cumulative_probs):
-        u = nrng.random(n)
-        codes = _np.searchsorted(_np.asarray(cum), u, side="right")
-        block[:, column] = _np.minimum(codes, len(cum) - 1)
+def _np_codes(enc: _EncodedDnf, uniforms):
+    """An (n × |vars|) block of world assignments from (|vars| × n) uniforms."""
+    block = _np.empty((uniforms.shape[1], len(enc.variables)), dtype=_np.int64)
+    for column, bounds in enumerate(enc.value_bounds):
+        block[:, column] = _np.searchsorted(_np.asarray(bounds), uniforms[column], side="right")
     return block
 
 
@@ -168,17 +236,20 @@ def _np_satisfaction(enc: _EncodedDnf, block):
 def _np_karp_luby_block(enc: _EncodedDnf, n: int, nrng) -> int:
     """Count positives among ``n`` Definition 4.1 trials, drawn as one block.
 
-    Step 1 (member choice ∝ p_f) is an inverse-CDF over the clause
-    weights; step 2 (extension sampling) draws the full block and then
-    overwrites each row's chosen-clause columns with the clause's fixed
-    codes; step 3 is ``argmax`` over the satisfaction matrix — the row's
-    chosen clause is consistent by construction, so the first ``True``
-    index always exists and the trial succeeds iff it equals the choice.
+    Row 0 of the uniforms picks each trial's member (∝ p_f, inverse CDF
+    over the clause weights); the other rows sample the variables, and
+    each trial's chosen-clause columns are then overwritten with the
+    clause's fixed codes.  The chosen clause is consistent by
+    construction, so ``argmax`` over the satisfaction matrix finds a
+    first ``True`` index and the trial succeeds iff it is the choice.
     """
-    cum = _np.asarray(enc.cumulative_weights)
-    u = nrng.random(n) * enc.total_weight
-    choice = _np.minimum(_np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    block = _np_sample_block(enc, n, nrng)
+    uniforms = nrng.random((1 + len(enc.variables), n))
+    if _np_small_block(enc, n):
+        # Same draws, same positives: only the evaluation order differs.
+        return _karp_luby_positives(enc, uniforms.T.tolist())
+    u = uniforms[0] * enc.total_weight
+    choice = _np.searchsorted(_np.asarray(enc.clause_bounds), u, side="right")
+    block = _np_codes(enc, uniforms[1:])
     for j, pairs in enumerate(enc.member_pairs):
         rows = choice == j
         if not rows.any():
@@ -192,53 +263,8 @@ def _np_karp_luby_block(enc: _EncodedDnf, n: int, nrng) -> int:
 
 def _np_naive_block(enc: _EncodedDnf, n: int, nrng) -> int:
     """Count the worlds (out of ``n`` sampled) satisfying some clause."""
-    block = _np_sample_block(enc, n, nrng)
+    block = _np_codes(enc, nrng.random((len(enc.variables), n)))
     return int(_np_satisfaction(enc, block).any(axis=1).sum())
-
-
-# --------------------------------------------------------------------------
-# Pure-Python block primitives (same statistics, one trial per iteration)
-# --------------------------------------------------------------------------
-
-
-def _py_sample_codes(enc: _EncodedDnf, rng: random.Random) -> list[int]:
-    codes = []
-    for cum in enc.cumulative_probs:
-        u = rng.random()
-        code = bisect_right(cum, u)
-        codes.append(min(code, len(cum) - 1))
-    return codes
-
-
-def _py_satisfied(pairs: tuple[tuple[int, int], ...], codes: list[int]) -> bool:
-    return all(codes[column] == code for column, code in pairs)
-
-
-def _py_karp_luby_block(enc: _EncodedDnf, n: int, rng: random.Random) -> int:
-    positives = 0
-    size = len(enc.member_pairs)
-    for _ in range(n):
-        u = rng.random() * enc.total_weight
-        choice = min(bisect_right(enc.cumulative_weights, u), size - 1)
-        codes = _py_sample_codes(enc, rng)
-        for column, code in enc.member_pairs[choice]:
-            codes[column] = code
-        first = next(
-            (j for j, pairs in enumerate(enc.member_pairs) if _py_satisfied(pairs, codes)),
-            -1,
-        )
-        if first == choice:
-            positives += 1
-    return positives
-
-
-def _py_naive_block(enc: _EncodedDnf, n: int, rng: random.Random) -> int:
-    positives = 0
-    for _ in range(n):
-        codes = _py_sample_codes(enc, rng)
-        if any(_py_satisfied(pairs, codes) for pairs in enc.member_pairs):
-            positives += 1
-    return positives
 
 
 # --------------------------------------------------------------------------
@@ -270,18 +296,17 @@ def _shared_trial_block(
     :func:`shared_block_confidences`); across tasks the blocks are
     independent and their counts merge by trial-count weighting.
     """
+    width = len(encoders[0].variables)
     if backend == "numpy":
-        block = _np_sample_block(encoders[0], n, _np.random.default_rng(seed))
-        return [
-            int(_np_satisfaction(enc, block).any(axis=1).sum()) for enc in encoders
-        ]
-    rng = random.Random(seed)
+        uniforms = _np.random.default_rng(seed).random((width, n))
+        block = _np_codes(encoders[0], uniforms)
+        return [int(_np_satisfaction(enc, block).any(axis=1).sum()) for enc in encoders]
+    draw = random.Random(seed).random
     counts = [0] * len(encoders)
     for _ in range(n):
-        codes = _py_sample_codes(encoders[0], rng)
+        codes = _codes(encoders[0], [draw() for _ in range(width)])
         for k, enc in enumerate(encoders):
-            if any(_py_satisfied(pairs, codes) for pairs in enc.member_pairs):
-                counts[k] += 1
+            counts[k] += _any_holds(enc.member_pairs, codes)
     return counts
 
 
@@ -291,24 +316,22 @@ def _shared_trial_block(
 
 
 class BatchKarpLubySampler:
-    """Incremental Karp–Luby estimation with block-drawn trials.
+    """Incremental Karp–Luby estimation (Definition 4.1) with block-drawn trials.
 
-    Drop-in counterpart of
-    :class:`~repro.confidence.karp_luby.KarpLubySampler`: same degenerate
-    handling (empty F → 0, trivially-true F → 1, |F| = 1 → p_f, all
-    exact), same readout API (``estimate``/``trials``/``positives``/
-    ``error_bound``/``snapshot``), but :meth:`run` materializes all
-    requested trials as one vectorized block instead of a Python loop.
-    The Figure 3 algorithm refines by repeatedly calling ``run(|F|)``;
-    every such refinement is one block.
+    Degenerate disjunctions are answered exactly without sampling:
 
-    With an ``executor``, :meth:`run` cuts each requested budget into
-    per-worker blocks by the executor's (worker-count-independent) trial
+    * empty F                          → p = 0,
+    * F containing the empty condition → p = 1,
+    * |F| = 1                          → p = p_f  (the estimator would
+      always return 1, so p̂ = M = p_f deterministically).
+
+    The readout API is ``estimate``/``trials``/``positives``/
+    ``error_bound``/``snapshot``.  :meth:`run` cuts each requested budget
+    into blocks by the ``executor``'s (worker-count-independent) trial
     plan, seeds block ``i`` from ``(one parent draw, i)``, and sums the
     block positives — the trial-count-weighted merge of the block
-    estimates.  Estimates are then bit-identical for every worker count
-    (including ``workers=1``), though the stream differs from the
-    executor-less sampler.
+    estimates — so estimates are bit-identical for every worker count.
+    The Figure 3 algorithm refines by repeatedly calling ``run(|F|)``.
     """
 
     def __init__(
@@ -316,9 +339,9 @@ class BatchKarpLubySampler:
         dnf: Dnf,
         rng: random.Random | int | None = None,
         backend: str | None = None,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ):
-        """Set up block sampling for ``dnf`` (backend/executor as in the scalar sampler)."""
+        """Set up block sampling for ``dnf``; ``rng`` seeds the block streams."""
         self.dnf = dnf
         self.backend = resolve_backend(backend)
         self.rng = ensure_rng(rng)
@@ -326,11 +349,6 @@ class BatchKarpLubySampler:
         self.trials = 0
         self.positives = 0
         self._enc = _EncodedDnf(dnf)
-        self._nrng = (
-            _np_rng(self.rng)
-            if self.backend == "numpy" and executor is None
-            else None
-        )
         if dnf.is_trivially_true:
             self._exact_value: float | None = 1.0
         elif dnf.is_empty:
@@ -346,36 +364,21 @@ class BatchKarpLubySampler:
         return self._exact_value is not None
 
     def run(self, n_trials: int) -> None:
-        """Accumulate ``n_trials`` further Definition 4.1 trials.
-
-        Without an executor this is one block on the sampler's own
-        stream; with one, the budget is sharded as documented above.
-        """
+        """Accumulate ``n_trials`` further Definition 4.1 trials."""
         if n_trials <= 0 or self.is_exact:
             return
-        if self.executor is not None:
-            base = self.rng.getrandbits(64)
-            blocks = self.executor.plan_trials(n_trials)
-            self.positives += sum(
-                self.executor.map(
-                    _karp_luby_trial_block,
-                    [
-                        (self._enc, count, shard_seed(base, i), self.backend)
-                        for i, count in enumerate(blocks)
-                    ],
-                )
+        base = self.rng.getrandbits(64)
+        blocks = self.executor.plan_trials(n_trials)
+        self.positives += sum(
+            self.executor.map(
+                _karp_luby_trial_block,
+                [
+                    (self._enc, count, shard_seed(base, i), self.backend)
+                    for i, count in enumerate(blocks)
+                ],
             )
-        elif self.backend == "numpy":
-            self.positives += _np_karp_luby_block(self._enc, n_trials, self._nrng)
-        else:
-            self.positives += _py_karp_luby_block(self._enc, n_trials, self.rng)
+        )
         self.trials += n_trials
-
-    def draw(self) -> int:
-        """One trial (block of size 1) — parity with the scalar sampler."""
-        before = self.positives
-        self.run(1)
-        return self.positives - before
 
     @property
     def estimate(self) -> float:
@@ -412,16 +415,13 @@ def batch_approximate_confidence(
     delta: float,
     rng: random.Random | int | None = None,
     backend: str | None = None,
-    executor: "ShardExecutor | None" = None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
 ) -> KarpLubyEstimate:
-    """The Proposition 4.2 FPRAS with the whole trial budget as one block.
+    """The (ε, δ) FPRAS of Proposition 4.2.
 
-    Identical guarantee to
-    :func:`~repro.confidence.karp_luby.approximate_confidence` — the
-    m = ⌈3·|F|·ln(2/δ)/ε²⌉ trials come from the same estimator, merely
-    drawn together — at a fraction of the interpreter overhead.  With an
-    ``executor`` the budget runs as per-worker blocks whose statistics
-    merge by trial-count weighting (see :class:`BatchKarpLubySampler`).
+    Runs m = ⌈3·|F|·ln(2/δ)/ε²⌉ Karp–Luby trials, as blocks merged by
+    trial-count weighting (see :class:`BatchKarpLubySampler`), and
+    returns p̂ with Pr[|p̂ − p| ≥ ε·p] ≤ δ.
     """
     sampler = BatchKarpLubySampler(dnf, rng, backend=backend, executor=executor)
     if sampler.is_exact:
@@ -435,33 +435,26 @@ def batch_naive_confidence(
     samples: int,
     rng: random.Random | int | None = None,
     backend: str | None = None,
-    executor: "ShardExecutor | None" = None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
 ) -> NaiveEstimate:
-    """Naive world-sampling estimate of p with trials drawn as one block."""
+    """Naive world-sampling estimate of p from ``samples`` sampled worlds."""
     generator = ensure_rng(rng)
     if dnf.is_trivially_true:
         return NaiveEstimate(1.0, 0, 0)
-    if dnf.is_empty:
+    if dnf.is_empty or samples <= 0:
         return NaiveEstimate(0.0, 0, 0)
     enc = _EncodedDnf(dnf)
-    if samples <= 0:
-        return NaiveEstimate(0.0, 0, 0)
     concrete = resolve_backend(backend)
-    if executor is not None:
-        base = generator.getrandbits(64)
-        positives = sum(
-            executor.map(
-                _naive_trial_block,
-                [
-                    (enc, count, shard_seed(base, i), concrete)
-                    for i, count in enumerate(executor.plan_trials(samples))
-                ],
-            )
+    base = generator.getrandbits(64)
+    positives = sum(
+        executor.map(
+            _naive_trial_block,
+            [
+                (enc, count, shard_seed(base, i), concrete)
+                for i, count in enumerate(executor.plan_trials(samples))
+            ],
         )
-    elif concrete == "numpy":
-        positives = _np_naive_block(enc, samples, _np_rng(generator))
-    else:
-        positives = _py_naive_block(enc, samples, generator)
+    )
     return NaiveEstimate(positives / samples, samples, positives)
 
 
@@ -470,7 +463,7 @@ def shared_block_confidences(
     samples: int,
     rng: random.Random | int | None = None,
     backend: str | None = None,
-    executor: "ShardExecutor | None" = None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
 ) -> list[NaiveEstimate]:
     """Estimate every disjunction against ONE shared block of worlds.
 
@@ -479,11 +472,10 @@ def shared_block_confidences(
     against the whole block — the batched-query pattern of
     ``ProbDB.confidence_all``: the sampling cost is paid once per query,
     not once per result tuple.  Estimates for degenerate disjunctions
-    are exact, as in the scalar path.  All disjunctions must share one
-    W table.
+    are exact.  All disjunctions must share one W table.
 
-    With an ``executor`` the sample budget is cut into per-worker blocks
-    (each still shared by every DNF *within* the block, so the per-block
+    The sample budget is cut into blocks by the executor's plan (each
+    still shared by every DNF *within* the block, so the per-block
     correlation structure is preserved); per-DNF positives sum across
     blocks — the trial-count-weighted merge.
     """
@@ -510,33 +502,15 @@ def shared_block_confidences(
     variables = sorted(union_vars, key=repr)
     encoders = [_EncodedDnf(dnfs[i], variables) for i in sampled]
 
-    if executor is not None:
-        base = generator.getrandbits(64)
-        per_block = executor.map(
-            _shared_trial_block,
-            [
-                (encoders, count, shard_seed(base, i), concrete)
-                for i, count in enumerate(executor.plan_trials(samples))
-            ],
-        )
-        counts = [sum(block[k] for block in per_block) for k in range(len(sampled))]
-        for k, i in enumerate(sampled):
-            results[i] = NaiveEstimate(counts[k] / samples, samples, counts[k])
-        return results
-
-    if concrete == "numpy":
-        nrng = _np_rng(generator)
-        block = _np_sample_block(encoders[0], samples, nrng)
-        for i, enc in zip(sampled, encoders):
-            positives = int(_np_satisfaction(enc, block).any(axis=1).sum())
-            results[i] = NaiveEstimate(positives / samples, samples, positives)
-    else:
-        counts = [0] * len(sampled)
-        for _ in range(samples):
-            codes = _py_sample_codes(encoders[0], generator)
-            for k, enc in enumerate(encoders):
-                if any(_py_satisfied(pairs, codes) for pairs in enc.member_pairs):
-                    counts[k] += 1
-        for k, i in enumerate(sampled):
-            results[i] = NaiveEstimate(counts[k] / samples, samples, counts[k])
+    base = generator.getrandbits(64)
+    per_block = executor.map(
+        _shared_trial_block,
+        [
+            (encoders, count, shard_seed(base, i), concrete)
+            for i, count in enumerate(executor.plan_trials(samples))
+        ],
+    )
+    for k, i in enumerate(sampled):
+        positives = sum(block[k] for block in per_block)
+        results[i] = NaiveEstimate(positives / samples, samples, positives)
     return results

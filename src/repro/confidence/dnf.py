@@ -23,9 +23,10 @@ __all__ = ["Dnf"]
 class Dnf:
     """A disjunction F of partial functions over a variable table W.
 
-    Members keep a fixed order (the estimator's tie-breaking uses "the one
-    of the smallest index", Definition 4.1 step 3).  Duplicate members are
-    removed, preserving first occurrence.
+    Duplicate members are removed, preserving first occurrence.  The
+    Karp–Luby sampler does not rely on this order: it sorts the members
+    for Definition 4.1's "smallest index" test itself (see
+    :mod:`repro.confidence.batch`).
     """
 
     __slots__ = ("w", "members", "weights", "_variables", "_bounds")
@@ -87,13 +88,6 @@ class Dnf:
     def evaluate(self, world: Mapping[Var, object]) -> bool:
         """Is the disjunction satisfied by total assignment ``world``?"""
         return any(f.evaluate(world) for f in self.members)
-
-    def first_consistent_index(self, world: Mapping[Var, object]) -> int | None:
-        """Index of the smallest-index member consistent with ``world``."""
-        for i, f in enumerate(self.members):
-            if f.evaluate(world):
-                return i
-        return None
 
     def __repr__(self) -> str:
         """Summary form; members are intentionally elided (can be huge)."""

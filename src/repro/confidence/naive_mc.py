@@ -7,19 +7,17 @@ error ε on a tuple of confidence p one needs m = Θ(1/(p·ε²)) samples —
 unbounded as p → 0 — whereas Karp–Luby needs m = O(|F|·ln(2/δ)/ε²)
 *independent of p*.  Benchmark E6 measures exactly this gap; MystiQ-style
 systems [7, 16] use Monte-Carlo simulation of this general flavour, which
-is why the paper adopts Karp–Luby instead.
+is why the paper adopts Karp–Luby instead.  The estimator itself is
+:func:`repro.confidence.batch.batch_naive_confidence`; this module holds
+its result type and sample-size rule.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
-from repro.confidence.dnf import Dnf
-from repro.util.rng import ensure_rng
-
-__all__ = ["NaiveEstimate", "naive_confidence", "naive_sample_size_additive"]
+__all__ = ["NaiveEstimate", "naive_sample_size_additive"]
 
 
 @dataclass(frozen=True)
@@ -44,21 +42,3 @@ def naive_sample_size_additive(eps_abs: float, delta: float) -> int:
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
     return math.ceil(math.log(2.0 / delta) / (2.0 * eps_abs * eps_abs))
-
-
-def naive_confidence(
-    dnf: Dnf, samples: int, rng: random.Random | int | None = None
-) -> NaiveEstimate:
-    """Estimate p by sampling ``samples`` full worlds over vars(F)."""
-    generator = ensure_rng(rng)
-    if dnf.is_trivially_true:
-        return NaiveEstimate(1.0, 0, 0)
-    if dnf.is_empty:
-        return NaiveEstimate(0.0, 0, 0)
-    variables = sorted(dnf.variables, key=repr)
-    positives = 0
-    for _ in range(samples):
-        world = {v: dnf.w.sample_value(v, generator) for v in variables}
-        if dnf.evaluate(world):
-            positives += 1
-    return NaiveEstimate(positives / samples if samples else 0.0, samples, positives)

@@ -64,7 +64,7 @@ from repro.urel.translate import (
 )
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation, URow
-from repro.util.parallel import shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng, spawn_rng
 
 __all__ = ["ApproxQueryEvaluator", "DecisionRecord", "UnreliableInputError"]
@@ -98,7 +98,7 @@ class ApproxQueryEvaluator:
         epsilon_method: str = "auto",
         copy_db: bool = True,
         backend: str | None = None,
-        executor=None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
         bounds_budget: int | None = None,
     ):
         if (rounds is None) == (decision_delta is None):
@@ -344,7 +344,14 @@ class ApproxQueryEvaluator:
             )
             return AnnotatedRelation.reliable_from(out, True)
         out, _estimates = approx_confidence_relation(
-            child.relation, self.db.w, node.eps, node.delta, self.rng, node.p_name
+            child.relation,
+            self.db.w,
+            node.eps,
+            node.delta,
+            self.rng,
+            node.p_name,
+            backend=self.backend,
+            executor=self.executor,
         )
         # The Karp–Luby value errors are (ε, δ)-bounded per tuple; as
         # membership bounds the output rows are exact (poss is exact).
@@ -461,7 +468,7 @@ class ApproxQueryEvaluator:
     ) -> list[PredicateDecision]:
         """Figure 3 decisions for the sorted σ̂ candidates, fanned out when wide.
 
-        With a session executor and enough candidates to cut
+        With enough candidates to cut
         (:meth:`~repro.util.parallel.ShardExecutor.plan_items` — a
         function of the candidate count only), candidates are decided
         concurrently: one pre-spawned stream per candidate, seeded from
@@ -471,12 +478,10 @@ class ApproxQueryEvaluator:
         every worker count, including the in-process serial fallback,
         because both the plan and the seeds ignore the worker count.
 
-        Narrow selections (and executor-less evaluators) keep the
-        sequential loop: one stream spawned per candidate from the
-        evaluator generator in candidate order — byte-compatible with
-        the pre-candidate-parallel engine — with each value's trial
-        allocation still sharded *within* the candidate when an
-        executor is present.
+        Narrow selections keep the sequential loop: one stream spawned
+        per candidate from the evaluator generator in candidate order,
+        with each value's trial allocation sharded *within* the
+        candidate.
 
         With a ``bounds_budget``, each candidate's approximator first
         tries to certify the predicate from dissociation bound
@@ -487,31 +492,30 @@ class ApproxQueryEvaluator:
         candidates that still sample.
         """
         executor = self.executor
-        if executor is not None:
-            shards = executor.plan_items(len(specs))
-            if len(shards) > 1:
-                base = self.rng.getrandbits(64)
-                tasks = [
-                    (
-                        node.predicate,
-                        [
-                            (specs[i][2], specs[i][1], shard_seed(base, i))
-                            for i in range(start, stop)
-                        ],
-                        self.eps0,
-                        self.rounds,
-                        self.decision_delta,
-                        self.epsilon_method,
-                        self.backend,
-                        self.bounds_budget,
-                    )
-                    for start, stop in shards
-                ]
-                return [
-                    decision
-                    for shard in executor.map(decide_candidates_shard, tasks)
-                    for decision in shard
-                ]
+        shards = executor.plan_items(len(specs))
+        if len(shards) > 1:
+            base = self.rng.getrandbits(64)
+            tasks = [
+                (
+                    node.predicate,
+                    [
+                        (specs[i][2], specs[i][1], shard_seed(base, i))
+                        for i in range(start, stop)
+                    ],
+                    self.eps0,
+                    self.rounds,
+                    self.decision_delta,
+                    self.epsilon_method,
+                    self.backend,
+                    self.bounds_budget,
+                )
+                for start, stop in shards
+            ]
+            return [
+                decision
+                for shard in executor.map(decide_candidates_shard, tasks)
+                for decision in shard
+            ]
         decisions = []
         for _cand, cand_env, dnfs in specs:
             approximator = PredicateApproximator(

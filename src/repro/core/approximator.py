@@ -57,6 +57,7 @@ from repro.core.values import (
     KarpLubyValue,
     as_approximable,
 )
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.util.rng import ensure_rng, spawn_rng
 
 __all__ = [
@@ -140,7 +141,7 @@ class PredicateApproximator:
         constants: Mapping[str, object] | None = None,
         epsilon_method: str = "auto",
         backend: str | None = None,
-        executor=None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
         bounds_budget: int | None = None,
     ):
         if not 0 < eps0 < 1:
@@ -459,7 +460,7 @@ def approximate_predicate(
     constants: Mapping[str, object] | None = None,
     epsilon_method: str = "auto",
     backend: str | None = None,
-    executor=None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
     bounds_budget: int | None = None,
 ) -> PredicateDecision:
     """One-shot Figure 3 run (see :class:`PredicateApproximator`)."""

@@ -31,6 +31,7 @@ from repro.core.approx_select import ApproxQueryEvaluator, DecisionRecord
 from repro.core.error_bounds import AnnotatedRelation
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URow
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.util.rng import ensure_rng, spawn_rng
 
 __all__ = ["DriverReport", "evaluate_with_guarantee"]
@@ -85,7 +86,7 @@ def evaluate_with_guarantee(
     conf_method: str = "decomposition",
     epsilon_method: str = "auto",
     backend: str | None = None,
-    executor=None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
     bounds_budget: int | None = None,
 ) -> DriverReport:
     """Evaluate a positive UA[σ̂] query with overall tuple error ≤ δ.
@@ -99,9 +100,9 @@ def evaluate_with_guarantee(
     decisions.  Each evaluation at round budget l runs fixed-budget
     Figure 3 decisions, so every stochastic value's whole (ε, δ)-derived
     allocation of l·|Fᵢ| Karp–Luby trials is drawn as one vectorized
-    block rather than trial by trial.  An ``executor``
+    block rather than trial by trial.  The ``executor``
     (:class:`~repro.util.parallel.ShardExecutor`) fans the σ̂ work out
-    over worker processes: wide selections decide their candidate
+    over its worker processes: wide selections decide their candidate
     tuples *concurrently* (one pre-spawned stream per candidate, seeded
     by its position in the sorted candidate order), while narrow ones
     distribute each value's trial allocation as deterministic per-block

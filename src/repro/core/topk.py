@@ -41,10 +41,9 @@ candidate count); each candidate draws from its own positional stream
 ``shard_seed(shard_seed(base, index), round)`` where ``base`` is one
 parent draw and ``index`` the candidate's rank in the deterministic
 candidate order, and per-block positives merge by trial-count weighting
-exactly as the batch sampler's executor path does.  Results are
-bit-identical for every worker count, including the serial (no
-executor) path, and the final ranking breaks ties by candidate order —
-so ``topk`` is reproducible tuple-for-tuple.
+exactly as the batch sampler does.  Results are bit-identical for
+every worker count, and the final ranking breaks ties by candidate
+order — so ``topk`` is reproducible tuple-for-tuple.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from repro.confidence.batch import (
 from repro.confidence.dissociation import DEFAULT_BOUND_BUDGET, dissociation_intervals
 from repro.confidence.dnf import Dnf
 from repro.core.intervals import relative_interval
-from repro.util.parallel import ShardExecutor, shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng
 
 __all__ = ["TopKEntry", "TopKReport", "race_topk", "TOPK_COARSE_ROUNDS"]
@@ -181,7 +180,7 @@ def race_topk(
     delta: float,
     rng: random.Random | int | None = None,
     backend: str | None = None,
-    executor: "ShardExecutor | None" = None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
     bounds_budget: int = DEFAULT_BOUND_BUDGET,
 ) -> TopKReport:
     """Race ``rows`` (with per-row disjunctions ``dnfs``) for the top k.
@@ -331,16 +330,15 @@ def _apply_decisions(status: list[int], lo: list[float], hi: list[float], k: int
             status[i] = _ADMITTED
 
 
-def _run_round(items: list[tuple], backend: str, executor) -> list[int]:
+def _run_round(items: list[tuple], backend: str, executor: ShardExecutor) -> list[int]:
     """Per-candidate positives for one round's allocation, sharded when profitable."""
-    if executor is not None:
-        shards = executor.plan_items(len(items))
-        if len(shards) > 1:
-            results = executor.map(
-                _race_shard_task,
-                [(items[start:stop], backend) for start, stop in shards],
-            )
-            return [won for shard in results for won in shard]
+    shards = executor.plan_items(len(items))
+    if len(shards) > 1:
+        results = executor.map(
+            _race_shard_task,
+            [(items[start:stop], backend) for start, stop in shards],
+        )
+        return [won for shard in results for won in shard]
     return _race_shard_task(items, backend)
 
 

@@ -39,8 +39,9 @@ import numbers
 import random
 from collections.abc import Callable
 
+from repro.confidence.batch import BatchKarpLubySampler
 from repro.confidence.dnf import Dnf
-from repro.confidence.karp_luby import KarpLubySampler
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 
 __all__ = [
     "ApproximableValue",
@@ -101,15 +102,12 @@ class ApproximableValue(abc.ABC):
 class KarpLubyValue(ApproximableValue):
     """Tuple confidence approximated by the Karp–Luby estimator.
 
-    ``backend`` selects the trial engine: ``None`` keeps the scalar
-    sampler; ``"auto"``/``"numpy"``/``"python"`` use the vectorized
-    :class:`~repro.confidence.batch.BatchKarpLubySampler`, which draws
-    each refinement round's |F| trials (and multi-round allocations, see
-    :meth:`refine_many`) as one block.  An ``executor``
-    (:class:`~repro.util.parallel.ShardExecutor`) additionally
-    distributes each allocation over worker processes as per-block
-    budgets merged by trial-count weighting; it implies the batch
-    sampler even when ``backend`` is left ``None``.
+    Wraps a :class:`~repro.confidence.batch.BatchKarpLubySampler`, which
+    draws each refinement round's |F| trials (and multi-round
+    allocations, see :meth:`refine_many`) as one block on the trial
+    ``backend`` (``"auto"``/``"numpy"``/``"python"``).  The ``executor``
+    (:class:`~repro.util.parallel.ShardExecutor`) cuts each allocation
+    into per-block budgets merged by trial-count weighting.
     """
 
     def __init__(
@@ -117,7 +115,7 @@ class KarpLubyValue(ApproximableValue):
         dnf: Dnf,
         rng: random.Random | int | None = None,
         backend: str | None = None,
-        executor=None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ):
         self._backend = backend
         self._executor = executor
@@ -128,14 +126,7 @@ class KarpLubyValue(ApproximableValue):
         #: stream, so sampled transcripts stay bit-identical with and
         #: without it.
         self.interval = None
-        if backend is None and executor is None:
-            self._sampler = KarpLubySampler(dnf, rng)
-        else:
-            from repro.confidence.batch import BatchKarpLubySampler
-
-            self._sampler = BatchKarpLubySampler(
-                dnf, rng, backend=backend, executor=executor
-            )
+        self._sampler = BatchKarpLubySampler(dnf, rng, backend=backend, executor=executor)
 
     @property
     def dnf(self) -> Dnf:
@@ -143,7 +134,7 @@ class KarpLubyValue(ApproximableValue):
 
     @property
     def sampler(self):
-        """The underlying (scalar or batch) Karp–Luby sampler."""
+        """The underlying Karp–Luby sampler."""
         return self._sampler
 
     @property
@@ -283,7 +274,7 @@ def as_approximable(
     value: "ApproximableValue | Dnf | float | int",
     rng: random.Random | int | None = None,
     backend: str | None = None,
-    executor=None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
 ) -> ApproximableValue:
     """Coerce user input into an :class:`ApproximableValue`.
 

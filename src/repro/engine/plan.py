@@ -37,11 +37,11 @@ from repro.algebra.operators import (
 from repro.algebra.printer import unparse_expression
 from repro.confidence.dissociation import dissociation_interval
 from repro.confidence.dnf import Dnf
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 
 if TYPE_CHECKING:
     from repro.engine.strategies import ConfidenceStrategy
     from repro.urel.evaluate import UEvaluator
-    from repro.util.parallel import ShardExecutor
 
 __all__ = [
     "PlanNode",
@@ -170,7 +170,7 @@ def explain_plan(
     node: Query,
     evaluator: "UEvaluator",
     strategy: "ConfidenceStrategy",
-    executor: "ShardExecutor | None" = None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
 ) -> ExplainReport:
     """Build the annotated plan for ``node``.
 
@@ -178,8 +178,8 @@ def explain_plan(
     explain executes repair-keys (extending that copy's W) to see the
     DNFs that confidence operators will face.  The evaluator's operator
     backend determines the ``path`` annotation of the relational nodes;
-    a session shard ``executor`` annotates the confidence operators it
-    fans out with ``·sharded[n]`` (n = configured workers).
+    a session ``executor`` with a worker pool annotates the operators
+    it fans out with ``·sharded[n]`` (n = configured workers).
     """
     return ExplainReport(_build(node, evaluator, strategy, executor, {}), strategy.name)
 
@@ -216,13 +216,13 @@ so only the remaining n−k consume round budget."""
 def _sharded_path(executor, fans_out: bool | None = None) -> str | None:
     """The ``sharded[n]`` annotation for fanned-out operators.
 
-    Shown whenever the session carries an executor: the *plan* (and the
-    results) are those of the sharded code path even at ``workers=1``,
-    where the shards merely run serially.  ``fans_out=False`` appends
-    the ``below-threshold`` warning — the workload is under the
-    profitable shard size, so every worker count runs it serially.
+    Shown when the session has a worker pool (``workers >= 2``): a
+    serial session runs the same shard plan, but nothing fans out, so
+    its plan stays bare.  ``fans_out=False`` appends the
+    ``below-threshold`` warning — the workload is under the profitable
+    shard size, so every worker count runs it serially.
     """
-    if executor is None:
+    if executor.workers < 2:
         return None
     path = f"sharded[{executor.workers}]"
     if fans_out is False:
@@ -237,8 +237,9 @@ def _conf_fans_out(executor, strategy, dnfs) -> bool | None:
     ``plan_items`` cuts it, and a batch too short to cut still fans out
     when some tuple's Monte-Carlo budget alone fills worker blocks
     (``plan_trials`` of :meth:`ConfidenceStrategy.trial_budget`).
+    Serial sessions are never annotated, so they skip the test.
     """
-    if executor is None:
+    if executor.workers < 2:
         return None
     if len(executor.plan_items(len(dnfs))) > 1:
         return True
@@ -248,7 +249,7 @@ def _conf_fans_out(executor, strategy, dnfs) -> bool | None:
 def _algebra_path(node: Query, evaluator, executor, cache: dict) -> str:
     """The operator-engine annotation for a product/join node.
 
-    On the columnar path with a session executor, the pair merge may
+    On the columnar path with a worker pool, the pair merge may
     shard.  The fan-out test consults the *same* schedule the operator
     runs: products (and joins without shared attributes, which fall to
     the all-pairs path) ask ``plan_all_pairs`` over the child row
@@ -260,7 +261,7 @@ def _algebra_path(node: Query, evaluator, executor, cache: dict) -> str:
     The scalar path never shards and stays bare.
     """
     path = _operator_path(evaluator)
-    if executor is None or path != "columnar[numpy]":
+    if executor.workers < 2 or path != "columnar[numpy]":
         return path
     left = _eval_rep_cached(evaluator, node.left, cache)
     right = _eval_rep_cached(evaluator, node.right, cache)
@@ -284,7 +285,7 @@ def _algebra_path(node: Query, evaluator, executor, cache: dict) -> str:
     return f"{path}·{_sharded_path(executor, fans_out)}"
 
 
-def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanNode:
+def _build(node: Query, evaluator, strategy, executor=SERIAL_EXECUTOR, cache=None) -> PlanNode:
     if cache is None:
         cache = {}
     children = tuple(
@@ -382,7 +383,7 @@ def _build(node: Query, evaluator, strategy, executor=None, cache=None) -> PlanN
         # loop shards each value's trial allocation (the session
         # strategy's budget stands in for the runtime's l·|F| rounds).
         fans_out = None
-        if executor is not None:
+        if executor.workers >= 2:
             relation = _eval_relation(evaluator, node.child, cache)
             joined = None
             for group in node.groups:
@@ -421,7 +422,7 @@ def topk_plan(
     evaluator: "UEvaluator",
     strategy: "ConfidenceStrategy",
     k: int,
-    executor: "ShardExecutor | None" = None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
 ) -> ExplainReport:
     """The annotated plan for ``ProbDB.topk(node, k)``.
 

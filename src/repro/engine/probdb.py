@@ -50,7 +50,7 @@ from repro.engine.strategies import (
 from repro.urel.evaluate import UEvaluator
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
-from repro.util.parallel import ShardExecutor, default_workers
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, default_workers
 from repro.util.rng import ensure_rng, spawn_rng
 
 __all__ = ["ProbDB", "connect"]
@@ -98,17 +98,17 @@ def connect(
     auto-detection — see :mod:`repro.util.backends`).  With ``copy``
     the session works on a private copy of the database.
 
-    ``workers`` opts the session into sharded execution
-    (:mod:`repro.util.parallel`): confidence batches, Monte-Carlo trial
-    budgets, driver round allocations, σ̂ candidate decisions, and the
-    columnar algebra's product/join pair merges fan out over a process
-    pool.  Results are *bit-identical for every worker count*
-    (``workers=1`` runs the same shard plan serially); omitting
-    ``workers`` keeps the unsharded single-stream code path.  Pass a
+    ``workers`` sets the session's parallelism (:mod:`repro.util.parallel`):
+    confidence batches, Monte-Carlo trial budgets, driver round
+    allocations, σ̂ candidate decisions, and the columnar algebra's
+    product/join pair merges run as a shard plan, over a process pool
+    when ``workers >= 2``.  Results are *bit-identical for every worker
+    count*: the plan never looks at it.  Omitting ``workers`` means the
+    ``REPRO_WORKERS`` environment variable, or else ``workers=1`` (the
+    same plan, run serially).  Pass a
     :class:`~repro.util.parallel.ShardExecutor` instance instead of an
     int to customize the shard plan parameters or to share one pool
-    across sessions.  The ``REPRO_WORKERS`` environment variable
-    supplies a default when the argument is left ``None``.
+    across sessions.
 
     Example::
 
@@ -137,7 +137,9 @@ def connect(
 class _EngineEvaluator(UEvaluator):
     """A :class:`UEvaluator` whose ``conf`` goes through the strategy registry."""
 
-    def __init__(self, db, strategy, rng, engine, copy_db=False, backend=None, executor=None):
+    def __init__(
+        self, db, strategy, rng, engine, copy_db=False, backend=None, executor=SERIAL_EXECUTOR
+    ):
         # cert and σ̂ conf-joins must stay exact (Example 5.7); honor an
         # explicitly-exact session strategy there, default to decomposition.
         conf_method = "enumeration" if strategy.name == "exact-enumeration" else "decomposition"
@@ -204,20 +206,15 @@ class ProbDB:
         )
         if workers is None:
             workers = default_workers()
-        # The session's one fan-out primitive; None keeps the legacy
-        # unsharded code path (results byte-compatible with older
-        # sessions).  The pool itself is lazy — sessions that never
-        # shard a workload never fork.  An existing ShardExecutor is
-        # accepted as-is but *borrowed* (custom plan parameters, or a
-        # pool shared across sessions): :meth:`close` only tears down
-        # executors the session constructed itself, so closing one
-        # sharing session cannot silently degrade the others to serial.
-        if isinstance(workers, ShardExecutor):
-            self.executor = workers
-            self._owns_executor = False
-        else:
-            self.executor = ShardExecutor(workers) if workers is not None else None
-            self._owns_executor = self.executor is not None
+        # The session's one fan-out primitive.  The pool itself is lazy —
+        # sessions that never shard a workload across workers never fork.
+        # An existing ShardExecutor is accepted as-is but *borrowed*
+        # (custom plan parameters, or a pool shared across sessions):
+        # :meth:`close` only tears down executors the session constructed
+        # itself, so closing one sharing session cannot silently degrade
+        # the others to serial.
+        self._owns_executor = not isinstance(workers, ShardExecutor)
+        self.executor = ShardExecutor(workers) if self._owns_executor else workers
         self._cache = MemoCache(cache_size)
         # close() must be idempotent and safe to race from many threads
         # (an async server closes sessions while sibling requests are in
@@ -284,13 +281,10 @@ class ProbDB:
         started = time.perf_counter()
         if self._cache.enabled:
             fingerprint = query_fingerprint(node)
-            token = self.strategy.cache_token
-            if self.executor is not None:
-                # A sharded session's algebra runs the sharded pair-merge
-                # schedule; results are bit-identical at any worker count
-                # *given the plan*, so entries are keyed on the plan token
-                # (the merge schedule), mirroring the conf cache keys.
-                token = token + (self.executor.plan_token,)
+            # Results are bit-identical at any worker count *given the
+            # plan*, so entries are keyed on the plan token (the merge
+            # schedule), mirroring the conf cache keys.
+            token = self.strategy.cache_token + (self.executor.plan_token,)
             cached = self._cache.get(
                 ("query", fingerprint, token, self.db.version, self.db.w.version)
             )
@@ -456,9 +450,7 @@ class ProbDB:
         result = self.query(node)
         if not self._cache.enabled:
             return self._topk_compute(result, k, eps_v, delta_v, bounds_budget)
-        token = self.strategy.cache_token
-        if self.executor is not None:
-            token = token + (self.executor.plan_token,)
+        token = self.strategy.cache_token + (self.executor.plan_token,)
         key = (
             "topk",
             query_fingerprint(node),
@@ -581,13 +573,10 @@ class ProbDB:
         return self._compute_confidence(dnf, self.strategy)
 
     def _conf_cache_key(self, dnf: Dnf, strategy: ConfidenceStrategy) -> tuple:
-        # A sharded session merges sampled estimates by the executor's
-        # plan — a different merge schedule than the unsharded stream —
-        # so its entries carry the plan token and never cross-hit with
-        # entries computed under another schedule.
-        token = strategy.cache_token
-        if self.executor is not None:
-            token = token + (self.executor.plan_token,)
+        # Sampled estimates merge by the executor's plan, so entries carry
+        # the plan token and never cross-hit with entries computed under
+        # another schedule.
+        token = strategy.cache_token + (self.executor.plan_token,)
         return ("conf", frozenset(dnf.members), self.db.w.version, token)
 
     def _compute_confidence(
@@ -747,7 +736,7 @@ class ProbDB:
         return self._closed
 
     def close(self) -> None:
-        """Release the session's worker pool (if any).
+        """Release the session's worker pool (if it created one).
 
         One executor serves both layers — confidence/driver fan-outs and
         the sharded columnar algebra — so this tears down one pool, once.
@@ -769,7 +758,7 @@ class ProbDB:
             if self._closed:
                 return
             self._closed = True
-        if self.executor is not None and self._owns_executor:
+        if self._owns_executor:
             self.executor.close()
 
     async def aclose(self) -> None:

@@ -24,12 +24,13 @@ vectorized blocks shared across a whole batch of tuples.  Third parties
 register their own strategies with :func:`register_strategy`; strategy
 classes are instantiated as ``cls(eps=..., delta=..., backend=...)``.
 
-:meth:`ConfidenceStrategy.compute_batch` also accepts a
-:class:`~repro.util.parallel.ShardExecutor`: the per-tuple DNF list is
-then cut into contiguous shards by the executor's worker-count-
-independent plan, each shard computed under a generator derived from its
-*shard index*, and results concatenated in shard order — bit-identical
-for every worker count.  Strategies registered against the original
+:meth:`ConfidenceStrategy.compute_batch` also takes a
+:class:`~repro.util.parallel.ShardExecutor` (by default the serial
+:data:`~repro.util.parallel.SERIAL_EXECUTOR`): the per-tuple DNF list is
+cut into contiguous shards by the executor's worker-count-independent
+plan, each shard computed under a generator derived from its *shard
+index*, and results concatenated in shard order — bit-identical for
+every worker count.  Strategies registered against the original
 two-argument contract keep working: the engine only passes the keyword
 to ``compute_batch`` implementations that declare it (see
 :func:`compute_batch_with_executor`).
@@ -62,7 +63,7 @@ from repro.confidence.exact import (
 )
 from repro.confidence.naive_mc import naive_sample_size_additive
 from repro.core.readonce import is_read_once
-from repro.util.parallel import ShardExecutor, shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.worlds.database import Prob
 
 __all__ = [
@@ -164,15 +165,14 @@ class ConfidenceStrategy:
         self,
         dnfs: Sequence[Dnf],
         rng: random.Random,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> list[ConfidenceReport]:
         """Confidences for a whole batch of disjunctions (one per tuple).
 
         The default runs :meth:`compute` per DNF; sampling strategies
         override this to amortize trial drawing across the batch (shared
-        world blocks, vectorized per-tuple trial budgets).  With an
-        ``executor`` the DNF list is sharded across workers (see
-        :meth:`_sharded_compute`).
+        world blocks, vectorized per-tuple trial budgets).  The
+        ``executor`` shards the DNF list (see :meth:`_sharded_compute`).
         """
         sharded = self._sharded_compute(dnfs, rng, executor)
         if sharded is not None:
@@ -183,7 +183,7 @@ class ConfidenceStrategy:
         self,
         dnfs: Sequence[Dnf],
         rng: random.Random,
-        executor: "ShardExecutor | None",
+        executor: ShardExecutor,
     ) -> list[ConfidenceReport] | None:
         """Shard the DNF list across the executor, or ``None`` to stay serial.
 
@@ -193,8 +193,6 @@ class ConfidenceStrategy:
         strategy itself travels to the workers, which is why strategy
         instances must stay picklable and must not hold executors.
         """
-        if executor is None:
-            return None
         shards = executor.plan_items(len(dnfs))
         if len(shards) <= 1:
             return None
@@ -242,7 +240,7 @@ def compute_batch_with_executor(
     strategy: ConfidenceStrategy,
     dnfs: Sequence[Dnf],
     rng: random.Random,
-    executor: "ShardExecutor | None",
+    executor: ShardExecutor,
 ) -> list[ConfidenceReport]:
     """Call ``strategy.compute_batch``, passing ``executor`` only if accepted.
 
@@ -250,7 +248,7 @@ def compute_batch_with_executor(
     ``compute_batch(dnfs, rng)`` contract predate sharding; they run
     serially rather than erroring on an unexpected keyword.
     """
-    if executor is not None and _accepts_executor(strategy, "compute_batch"):
+    if _accepts_executor(strategy, "compute_batch"):
         return strategy.compute_batch(dnfs, rng, executor=executor)
     return strategy.compute_batch(dnfs, rng)
 
@@ -259,7 +257,7 @@ def compute_with_executor(
     strategy: ConfidenceStrategy,
     dnf: Dnf,
     rng: random.Random,
-    executor: "ShardExecutor | None",
+    executor: ShardExecutor,
 ) -> ConfidenceReport:
     """Single-tuple counterpart of :func:`compute_batch_with_executor`.
 
@@ -267,7 +265,7 @@ def compute_with_executor(
     (there is no list to cut); strategies with the original
     ``compute(dnf, rng)`` signature run serially.
     """
-    if executor is not None and _accepts_executor(strategy, "compute"):
+    if _accepts_executor(strategy, "compute"):
         return strategy.compute(dnf, rng, executor=executor)
     return strategy.compute(dnf, rng)
 
@@ -431,7 +429,7 @@ class KarpLuby(ConfidenceStrategy):
         self,
         dnf: Dnf,
         rng: random.Random,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> ConfidenceReport:
         estimate = batch_approximate_confidence(
             dnf, self.eps, self.delta, rng, backend=self.backend, executor=executor
@@ -450,7 +448,7 @@ class KarpLuby(ConfidenceStrategy):
         self,
         dnfs: Sequence[Dnf],
         rng: random.Random,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> list[ConfidenceReport]:
         """Sharded per-tuple budgets: many tuples shard the DNF list; a
         batch too small to cut shards instead splits each tuple's whole
@@ -458,9 +456,7 @@ class KarpLuby(ConfidenceStrategy):
         sharded = self._sharded_compute(dnfs, rng, executor)
         if sharded is not None:
             return sharded
-        if executor is not None:
-            return [self.compute(dnf, rng, executor=executor) for dnf in dnfs]
-        return [self.compute(dnf, rng) for dnf in dnfs]
+        return [self.compute(dnf, rng, executor=executor) for dnf in dnfs]
 
 
 @register_strategy
@@ -511,7 +507,7 @@ class NaiveMonteCarlo(ConfidenceStrategy):
         self,
         dnf: Dnf,
         rng: random.Random,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> ConfidenceReport:
         samples = naive_sample_size_additive(self.eps, self.delta)
         estimate = batch_naive_confidence(
@@ -523,11 +519,11 @@ class NaiveMonteCarlo(ConfidenceStrategy):
         self,
         dnfs: Sequence[Dnf],
         rng: random.Random,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> list[ConfidenceReport]:
-        """One shared world block per batch; with an executor, the block
-        budget is split into per-worker sub-blocks (each still shared by
-        every tuple) whose counts merge by trial-count weighting."""
+        """One shared world budget per batch, split by the executor's plan
+        into sub-blocks (each still shared by every tuple) whose counts
+        merge by trial-count weighting."""
         samples = naive_sample_size_additive(self.eps, self.delta)
         estimates = shared_block_confidences(
             dnfs, samples, rng, backend=self.backend, executor=executor
@@ -582,7 +578,7 @@ class DissociationBounds(ConfidenceStrategy):
         self,
         dnfs: Sequence[Dnf],
         rng: random.Random,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> list[ConfidenceReport]:
         """Batched bounds: the DNF list shards over the executor's
         worker-count-independent plan with no shard entropy at all."""
@@ -681,7 +677,7 @@ class AutoStrategy(ConfidenceStrategy):
         self,
         dnf: Dnf,
         rng: random.Random,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> ConfidenceReport:
         method = self.choose(dnf)
         if method == self._exact.name:
@@ -696,7 +692,7 @@ class AutoStrategy(ConfidenceStrategy):
         self,
         dnfs: Sequence[Dnf],
         rng: random.Random,
-        executor: "ShardExecutor | None" = None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> list[ConfidenceReport]:
         """Route the batch per tuple, then run each backend's batched path.
 

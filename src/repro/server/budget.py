@@ -92,34 +92,29 @@ class CacheBudget:
             return 0
         freed_total = 0
         while True:
+            # Pick and evict under the registry lock: a cache unregistered
+            # after a stale snapshot could otherwise lose its late puts.
             with self._lock:
-                caches = list(self._caches)
-            total = sum(cache.approx_bytes for cache in caches)
-            if total <= self.max_bytes:
-                return freed_total
-            victim = None
-            victim_tick = None
-            for cache in caches:
-                tick = cache.lru_tick()
-                if tick is not None and (victim_tick is None or tick < victim_tick):
-                    victim, victim_tick = cache, tick
-            if victim is None:
-                return freed_total
-            # The tick the victim was chosen by travels with the
-            # eviction: if a hit refreshed the entry in between, the
-            # cache no-ops (the comparison that made it the global LRU
-            # no longer holds) and the next round re-picks.
-            freed = victim.evict_lru(victim_tick)
-            if freed <= 0:
-                # Raced with a hit that refreshed the entry; try again —
-                # unless nothing is evictable anymore.
-                if all(cache.lru_tick() is None for cache in caches):
+                total = sum(cache.approx_bytes for cache in self._caches)
+                if total <= self.max_bytes:
                     return freed_total
-                continue
-            freed_total += freed
-            with self._lock:
-                self.evictions += 1
-                self.bytes_evicted += freed
+                victim = None
+                victim_tick = None
+                for cache in self._caches:
+                    tick = cache.lru_tick()
+                    if tick is not None and (victim_tick is None or tick < victim_tick):
+                        victim, victim_tick = cache, tick
+                if victim is None:
+                    return freed_total
+                # The tick the victim was chosen by travels with the
+                # eviction: if a hit refreshed the entry in between, the
+                # cache no-ops (the comparison that made it the global LRU
+                # no longer holds) and the next round re-picks.
+                freed = victim.evict_lru(victim_tick)
+                if freed:
+                    self.evictions += 1
+                    self.bytes_evicted += freed
+                    freed_total += freed
 
     # ------------------------------------------------------------------ obs
     def stats(self) -> dict:

@@ -169,7 +169,7 @@ class Server:
         self._backend = backend
         self._cache_size = cache_size
         if workers is None:
-            workers = default_workers() or 1
+            workers = default_workers()
         if isinstance(workers, ShardExecutor):
             self._executor = workers
             self._owns_executor = False

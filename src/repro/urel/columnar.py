@@ -64,6 +64,7 @@ from repro.urel.conditions import TOP, Condition, ConditionPool, Var
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
 from repro.util.backends import HAS_NUMPY, np as _np
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 
 __all__ = ["HAS_NUMPY", "ValueCodec", "ColumnarContext", "ColumnarURelation"]
 
@@ -491,7 +492,7 @@ class ColumnarURelation:
         li,
         ri,
         rkeep: Sequence[int],
-        executor=None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> "ColumnarURelation":
         """Merge candidate row pairs: vectorized consistency check + union.
 
@@ -517,7 +518,7 @@ class ColumnarURelation:
         rkeep = list(rkeep)
         n_pairs = int(li.shape[0])
         block = _pair_block_size(len(out_vars), self.data.shape[1], len(rkeep))
-        shards = executor.plan_pairs(n_pairs) if executor is not None else []
+        shards = executor.plan_pairs(n_pairs)
         if len(shards) > 1:
             parts = executor.map(
                 _indexed_pairs_shard,
@@ -642,7 +643,7 @@ class ColumnarURelation:
         other: "ColumnarURelation",
         out_cols: tuple[str, ...],
         rkeep: Sequence[int],
-        executor=None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> "ColumnarURelation":
         """Merge every (left, right) row pair, generating pairs in blocks.
 
@@ -659,7 +660,7 @@ class ColumnarURelation:
         rkeep = list(rkeep)
         n1, n2 = len(self), len(other)
         block = _pair_block_size(len(out_vars), self.data.shape[1], len(rkeep))
-        shards = executor.plan_all_pairs(n1, n2) if executor is not None else []
+        shards = executor.plan_all_pairs(n1, n2)
         if len(shards) > 1:
             # Each task receives only its contiguous left-row slice
             # (range rebased to 0) — the shard unit IS a left-row range,
@@ -693,7 +694,9 @@ class ColumnarURelation:
             out_cols, data, out_vars, conds, tainted=self.tainted or other.tainted
         )
 
-    def product(self, other: "ColumnarURelation", executor=None) -> "ColumnarURelation":
+    def product(
+        self, other: "ColumnarURelation", executor: ShardExecutor = SERIAL_EXECUTOR
+    ) -> "ColumnarURelation":
         """[[R × S]] — all pairs, vectorized condition merge.
 
         ``executor`` (a :class:`~repro.util.parallel.ShardExecutor`)
@@ -706,7 +709,7 @@ class ColumnarURelation:
         )
 
     def natural_join(
-        self, other: "ColumnarURelation", executor=None
+        self, other: "ColumnarURelation", executor: ShardExecutor = SERIAL_EXECUTOR
     ) -> "ColumnarURelation":
         """⋈ — hash-free key matching via sort + searchsorted, then merge.
 

@@ -67,6 +67,7 @@ from repro.urel.translate import (
 )
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.util.rng import ensure_rng
 
 __all__ = ["UEvaluator", "UResult"]
@@ -105,17 +106,17 @@ class UEvaluator:
         rng: random.Random | int | None = None,
         copy_db: bool = True,
         backend: str | None = None,
-        executor=None,
+        executor: ShardExecutor = SERIAL_EXECUTOR,
     ):
         self.db = db.copy() if copy_db else db
         self.conf_method = conf_method
         self.rng = ensure_rng(rng)
         self.conf_log: list = []
         self.backend = resolve_backend(backend)
-        # The session's ShardExecutor (or None): columnar product/join
-        # pair merges fan out over it.  Results are bit-identical with
-        # and without one — the shard plan is a function of row counts
-        # only and the merge kernels are shared with the serial path.
+        # The session's ShardExecutor: columnar product/join pair merges
+        # and aconf trial budgets fan out over it.  Results are
+        # bit-identical at any worker count — the shard plans are
+        # functions of workload size only.
         self.executor = executor
         self._pool = self.db.condition_pool
         if self.backend == "numpy":
@@ -286,7 +287,14 @@ class UEvaluator:
         if isinstance(query, ApproxConf):
             child, _complete = self.eval(query.child)
             relation, estimates = approx_confidence_relation(
-                child, self.db.w, query.eps, query.delta, self.rng, query.p_name
+                child,
+                self.db.w,
+                query.eps,
+                query.delta,
+                self.rng,
+                query.p_name,
+                backend=self.backend,
+                executor=self.executor,
             )
             self.conf_log.append(estimates)
             return relation, True

@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.confidence.karp_luby import KarpLubyEstimate
 from repro.urel.urelation import URelation
 from repro.urel.variables import VariableTable
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.util.rng import ensure_rng
 from repro.worlds.database import Prob
 from repro.worlds.repair import RepairError
@@ -139,14 +140,18 @@ def approx_confidence_relation(
     delta: float,
     rng: random.Random | int | None = None,
     p_name: str = "P",
+    backend: str | None = None,
+    executor: ShardExecutor = SERIAL_EXECUTOR,
 ) -> tuple[URelation, dict[tuple, "KarpLubyEstimate"]]:
     """[[conf_{ε,δ}(R)]]: Karp–Luby confidences (Corollary 4.3).
 
     Returns the complete output relation and the per-tuple estimates with
     their sampling metadata, so callers can audit each (ε, δ) guarantee.
+    ``backend`` picks the trial kernel and ``executor`` shards each
+    tuple's trial budget (see :mod:`repro.confidence.batch`).
     """
+    from repro.confidence.batch import batch_approximate_confidence
     from repro.confidence.dnf import Dnf
-    from repro.confidence.karp_luby import approximate_confidence
 
     generator = ensure_rng(rng)
     cols = urel.columns
@@ -155,8 +160,8 @@ def approx_confidence_relation(
     out = set()
     estimates: dict[tuple, "KarpLubyEstimate"] = {}
     for t in sorted(urel.possible_tuples().rows, key=repr):
-        estimate = approximate_confidence(
-            Dnf.for_tuple(urel, t, w), eps, delta, generator
+        estimate = batch_approximate_confidence(
+            Dnf.for_tuple(urel, t, w), eps, delta, generator, backend, executor
         )
         estimates[t] = estimate
         out.add((TOP, t + (estimate.estimate,)))

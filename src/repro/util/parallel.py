@@ -81,6 +81,7 @@ __all__ = [
     "DEFAULT_MIN_SHARD_ITEMS",
     "DEFAULT_MIN_SHARD_TRIALS",
     "DEFAULT_MIN_SHARD_PAIRS",
+    "SERIAL_EXECUTOR",
     "ShardExecutor",
     "shard_seed",
     "spawn_shard_rng",
@@ -163,16 +164,17 @@ def pool_start_method() -> str | None:
     return None
 
 
-def default_workers() -> int | None:
-    """The ambient worker count from ``REPRO_WORKERS``, or ``None``.
+def default_workers() -> int:
+    """The ambient worker count from ``REPRO_WORKERS``, or 1 (serial).
 
-    Lets a deployment (or a CI leg) opt whole processes into sharded
-    execution without touching call sites; an unset or empty variable
-    means "no executor" and a non-integer value is a loud error.
+    Lets a deployment (or a CI leg) give whole processes a worker pool
+    without touching call sites; an unset or empty variable means one
+    worker and a non-integer value is a loud error.  The variable
+    changes parallelism only, never answers.
     """
     raw = os.environ.get(_WORKERS_ENV, "").strip()
     if not raw:
-        return None
+        return 1
     try:
         return int(raw)
     except ValueError:
@@ -471,6 +473,11 @@ class ShardExecutor:
 
     def __repr__(self) -> str:
         return f"ShardExecutor(workers={self.workers}, max_shards={self.max_shards})"
+
+
+SERIAL_EXECUTOR = ShardExecutor(1)
+"""The default executor of every library entry point: the shard plan run
+serially, in process.  It never creates a pool, so sharing it is free."""
 
 
 def _shutdown_pool(pool) -> None:

@@ -15,16 +15,22 @@ Covers the `repro.confidence.batch` acceptance criteria:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.confidence import batch
 from repro.confidence.batch import (
     HAS_NUMPY,
     BackendUnavailableError,
     BatchKarpLubySampler,
+    _EncodedDnf,
+    _np_karp_luby_block,
+    _py_karp_luby_block,
     available_backends,
     batch_approximate_confidence,
     batch_naive_confidence,
@@ -34,7 +40,6 @@ from repro.confidence.batch import (
 )
 from repro.confidence.dnf import Dnf
 from repro.confidence.exact import probability_by_decomposition
-from repro.confidence.karp_luby import KarpLubySampler
 from repro.engine.strategies import resolve_strategy
 from repro.generators.hard import bipartite_2dnf, bipartite_2dnf_database
 from repro.urel.conditions import Condition
@@ -99,8 +104,7 @@ class TestDegenerateAgreement:
             backend: BatchKarpLubySampler(dnf, rng=seed, backend=backend).estimate
             for backend in BACKENDS
         }
-        scalar = KarpLubySampler(dnf, rng=seed).estimate
-        assert len(set(estimates.values()) | {scalar}) == 1
+        assert len(set(estimates.values()) | {float(dnf.total_weight)}) == 1
         assert estimates["python"] == pytest.approx(p)
 
 
@@ -157,6 +161,80 @@ class TestSampledGuarantees:
         for backend in ("numpy", "python"):
             est = batch_approximate_confidence(dnf, eps, delta, rng=1, backend=backend)
             assert abs(est.estimate - truth) < eps * truth
+
+
+# ------------------------------------------------------- the python kernel
+def _definition_41_block(enc, dnf: Dnf, n: int, rng: random.Random) -> int:
+    """Definition 4.1 verbatim: a trial succeeds iff the smallest-index
+    clause holding in the chosen clause's extension is the chosen one."""
+    clause_cdf = list(accumulate(enc.weights))
+    value_cdfs = [
+        list(accumulate(float(p) for p in dnf.w.distribution(var).values()))
+        for var in enc.variables
+    ]
+    positives = 0
+    last = len(enc.member_pairs) - 1
+    for _ in range(n):
+        u = rng.random() * enc.total_weight
+        choice = min(bisect_right(clause_cdf, u), last)
+        codes = [min(bisect_right(cdf, rng.random()), len(cdf) - 1) for cdf in value_cdfs]
+        for column, code in enc.member_pairs[choice]:
+            codes[column] = code
+        first = next(
+            j
+            for j, pairs in enumerate(enc.member_pairs)
+            if all(codes[column] == code for column, code in pairs)
+        )
+        positives += first == choice
+    return positives
+
+
+class TestTrialKernels:
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_prefix_test_matches_definition(self, seed):
+        """Testing only the clauses before the chosen one, stopping at the
+        first that holds, gives the very positives of the full test —
+        zero-weight clauses (values outside the domain) included."""
+        rng = random.Random(seed)
+        w = _table(5)
+        members = [
+            Condition({("x", i): rng.choice((0, 1, 1, 7)) for i in rng.sample(range(5), 2)})
+            for _ in range(rng.randint(2, 8))
+        ]
+        dnf = Dnf(members, w)
+        enc = _EncodedDnf(dnf)
+        pruned = _py_karp_luby_block(enc, 300, random.Random(seed))
+        assert pruned == _definition_41_block(enc, dnf, 300, random.Random(seed))
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
+    def test_numpy_small_blocks_match_array_evaluation(self, monkeypatch):
+        """Small numpy blocks are evaluated trial by trial; the positives
+        must equal the array evaluation of the same draws."""
+        import numpy as np
+
+        enc = _EncodedDnf(bipartite_2dnf(4, 4, edge_probability=0.6, rng=9))
+
+        def run():
+            return [
+                _np_karp_luby_block(enc, n, np.random.default_rng(seed))
+                for seed in range(20)
+                for n in (1, 5, 40)
+            ]
+
+        trial_by_trial = run()
+        monkeypatch.setattr(batch, "_np_small_block", lambda enc, n: False)
+        assert run() == trial_by_trial
+
+    def test_member_order_is_canonical(self):
+        """The encoded clause order ignores the order conditions arrive in
+        (``frozenset`` order, which follows the hash seed)."""
+        dnf = bipartite_2dnf(4, 4, edge_probability=0.6, rng=9)
+        forward = _EncodedDnf(dnf)
+        backward = _EncodedDnf(Dnf(reversed(dnf.members), dnf.w))
+        assert forward.member_pairs == backward.member_pairs
+        assert forward.weights == backward.weights
+        assert forward.total_weight == backward.total_weight
 
 
 # ------------------------------------------------------------- determinism

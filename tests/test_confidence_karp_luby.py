@@ -1,4 +1,8 @@
-"""Tests for the Karp–Luby estimator, the FPRAS, bounds, and the naive baseline."""
+"""Tests for the Karp–Luby estimator, the FPRAS, bounds, and the naive baseline.
+
+Sampling tests run on both trial kernels (``python`` always, ``numpy``
+when importable) through the batch API.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +12,17 @@ import random
 import pytest
 
 from repro.confidence import (
+    BatchKarpLubySampler,
     Dnf,
-    KarpLubySampler,
-    approximate_confidence,
+    available_backends,
+    batch_approximate_confidence,
+    batch_naive_confidence,
     combine_independent,
     combine_union,
     delta_prime,
     eps_for_rounds,
     karp_luby_error_bound,
     karp_luby_sample_size,
-    naive_confidence,
     naive_sample_size_additive,
     probability_by_decomposition,
     rounds_for,
@@ -25,6 +30,8 @@ from repro.confidence import (
 from repro.generators.hard import bipartite_2dnf, chain_dnf
 from repro.urel.conditions import Condition
 from repro.urel.variables import VariableTable
+
+BACKENDS = available_backends()
 
 
 def _bool_table(n: int, p: float = 0.5) -> VariableTable:
@@ -86,30 +93,34 @@ class TestBounds:
 class TestSamplerDegenerateCases:
     def test_empty_dnf_is_exact_zero(self):
         w = _bool_table(1)
-        sampler = KarpLubySampler(Dnf([], w), rng=0)
-        assert sampler.is_exact
-        assert sampler.estimate == 0.0
-        assert sampler.error_bound(0.1) == 0.0
+        for backend in BACKENDS:
+            sampler = BatchKarpLubySampler(Dnf([], w), rng=0, backend=backend)
+            assert sampler.is_exact
+            assert sampler.estimate == 0.0
+            assert sampler.error_bound(0.1) == 0.0
 
     def test_trivially_true_is_exact_one(self):
         w = _bool_table(1)
-        sampler = KarpLubySampler(Dnf([Condition()], w), rng=0)
-        assert sampler.is_exact
-        assert sampler.estimate == 1.0
+        for backend in BACKENDS:
+            sampler = BatchKarpLubySampler(Dnf([Condition()], w), rng=0, backend=backend)
+            assert sampler.is_exact
+            assert sampler.estimate == 1.0
 
     def test_singleton_is_exact_weight(self):
         w = _bool_table(2, 0.3)
         d = Dnf([Condition({("x", 0): 1, ("x", 1): 1})], w)
-        sampler = KarpLubySampler(d, rng=0)
-        assert sampler.is_exact
-        assert sampler.estimate == pytest.approx(0.09)
+        for backend in BACKENDS:
+            sampler = BatchKarpLubySampler(d, rng=0, backend=backend)
+            assert sampler.is_exact
+            assert sampler.estimate == pytest.approx(0.09)
 
     def test_no_trials_error(self):
         w = _bool_table(2)
         d = Dnf([Condition({("x", 0): 1}), Condition({("x", 1): 1})], w)
-        sampler = KarpLubySampler(d, rng=0)
-        with pytest.raises(RuntimeError, match="no trials"):
-            _ = sampler.estimate
+        for backend in BACKENDS:
+            sampler = BatchKarpLubySampler(d, rng=0, backend=backend)
+            with pytest.raises(RuntimeError, match="no trials"):
+                _ = sampler.estimate
 
 
 class TestUnbiasedness:
@@ -119,33 +130,48 @@ class TestUnbiasedness:
     def test_estimate_converges_on_2dnf(self, seed):
         d = bipartite_2dnf(4, 4, edge_probability=0.5, rng=seed)
         truth = float(probability_by_decomposition(d))
-        sampler = KarpLubySampler(d, rng=seed + 100)
-        sampler.run(30_000)
-        assert sampler.estimate == pytest.approx(truth, rel=0.05)
+        for backend in BACKENDS:
+            sampler = BatchKarpLubySampler(d, rng=seed + 100, backend=backend)
+            sampler.run(30_000)
+            assert sampler.estimate == pytest.approx(truth, rel=0.05)
 
     def test_estimate_converges_on_chain(self):
         d = chain_dnf(6)
         truth = float(probability_by_decomposition(d))
-        sampler = KarpLubySampler(d, rng=9)
-        sampler.run(30_000)
-        assert sampler.estimate == pytest.approx(truth, rel=0.05)
+        for backend in BACKENDS:
+            sampler = BatchKarpLubySampler(d, rng=9, backend=backend)
+            sampler.run(30_000)
+            assert sampler.estimate == pytest.approx(truth, rel=0.05)
 
     def test_incremental_equals_batch_distributionally(self):
+        """run(5000) and five run(1000) calls draw different blocks (each
+        run seeds its own) but estimate the same p, and each schedule
+        replays bit for bit under its seed."""
         d = chain_dnf(4)
-        a = KarpLubySampler(d, rng=5)
-        a.run(5000)
-        b = KarpLubySampler(d, rng=5)
-        for _ in range(5):
-            b.run(1000)
-        assert a.trials == b.trials == 5000
-        assert a.estimate == b.estimate  # same rng stream, same draws
+        truth = float(probability_by_decomposition(d))
+
+        def incremental(backend):
+            sampler = BatchKarpLubySampler(d, rng=5, backend=backend)
+            for _ in range(5):
+                sampler.run(1000)
+            return sampler
+
+        for backend in BACKENDS:
+            a = BatchKarpLubySampler(d, rng=5, backend=backend)
+            a.run(5000)
+            b = incremental(backend)
+            assert a.trials == b.trials == 5000
+            assert a.estimate == pytest.approx(truth, rel=0.1)
+            assert b.estimate == pytest.approx(truth, rel=0.1)
+            assert b.estimate == incremental(backend).estimate
 
     def test_estimate_within_m_over_f_range(self):
         """Each trial is 0/1, so p̂ ∈ [0, M]."""
         d = chain_dnf(5)
-        sampler = KarpLubySampler(d, rng=3)
-        sampler.run(500)
-        assert 0.0 <= sampler.estimate <= float(d.total_weight)
+        for backend in BACKENDS:
+            sampler = BatchKarpLubySampler(d, rng=3, backend=backend)
+            sampler.run(500)
+            assert 0.0 <= sampler.estimate <= float(d.total_weight)
 
 
 class TestFpras:
@@ -154,44 +180,50 @@ class TestFpras:
         d = bipartite_2dnf(3, 3, edge_probability=0.6, rng=77)
         truth = float(probability_by_decomposition(d))
         eps, delta = 0.2, 0.2
-        rng = random.Random(123)
-        failures = 0
         runs = 60
-        for _ in range(runs):
-            est = approximate_confidence(d, eps, delta, rng)
-            if abs(est.estimate - truth) >= eps * truth:
-                failures += 1
-        # Chernoff is conservative; allow generous slack over δ·runs.
-        assert failures <= max(3, int(2 * delta * runs))
+        for backend in BACKENDS:
+            rng = random.Random(123)
+            failures = 0
+            for _ in range(runs):
+                est = batch_approximate_confidence(d, eps, delta, rng, backend=backend)
+                if abs(est.estimate - truth) >= eps * truth:
+                    failures += 1
+            # Chernoff is conservative; allow generous slack over δ·runs.
+            assert failures <= max(3, int(2 * delta * runs))
 
     def test_metadata(self):
         d = chain_dnf(3)
-        est = approximate_confidence(d, 0.3, 0.3, rng=1)
-        assert est.samples == karp_luby_sample_size(0.3, 0.3, d.size)
-        assert est.size == d.size
-        assert est.eps == 0.3 and est.delta == 0.3
-        assert not est.exact
+        for backend in BACKENDS:
+            est = batch_approximate_confidence(d, 0.3, 0.3, rng=1, backend=backend)
+            assert est.samples == karp_luby_sample_size(0.3, 0.3, d.size)
+            assert est.size == d.size
+            assert est.eps == 0.3 and est.delta == 0.3
+            assert not est.exact
 
     def test_exact_shortcut(self):
         w = _bool_table(1, 0.4)
-        est = approximate_confidence(Dnf([Condition({("x", 0): 1})], w), 0.1, 0.1, 1)
-        assert est.exact
-        assert est.estimate == pytest.approx(0.4)
-        assert est.error_bound(0.01) == 0.0
+        d = Dnf([Condition({("x", 0): 1})], w)
+        for backend in BACKENDS:
+            est = batch_approximate_confidence(d, 0.1, 0.1, 1, backend=backend)
+            assert est.exact
+            assert est.estimate == pytest.approx(0.4)
+            assert est.error_bound(0.01) == 0.0
 
 
 class TestNaiveBaseline:
     def test_converges(self):
         d = chain_dnf(4)
         truth = float(probability_by_decomposition(d))
-        est = naive_confidence(d, 40_000, rng=11)
-        assert est.estimate == pytest.approx(truth, abs=0.02)
+        for backend in BACKENDS:
+            est = batch_naive_confidence(d, 40_000, rng=11, backend=backend)
+            assert est.estimate == pytest.approx(truth, abs=0.02)
 
     def test_additive_bound(self):
-        est = naive_confidence(chain_dnf(3), 1000, rng=2)
-        assert est.additive_error_bound(0.05) == pytest.approx(
-            2 * math.exp(-2 * 1000 * 0.0025)
-        )
+        for backend in BACKENDS:
+            est = batch_naive_confidence(chain_dnf(3), 1000, rng=2, backend=backend)
+            assert est.additive_error_bound(0.05) == pytest.approx(
+                2 * math.exp(-2 * 1000 * 0.0025)
+            )
 
     def test_sample_size(self):
         m = naive_sample_size_additive(0.01, 0.05)
@@ -199,8 +231,9 @@ class TestNaiveBaseline:
 
     def test_degenerate(self):
         w = _bool_table(1)
-        assert naive_confidence(Dnf([], w), 10, 1).estimate == 0.0
-        assert naive_confidence(Dnf([Condition()], w), 10, 1).estimate == 1.0
+        for backend in BACKENDS:
+            assert batch_naive_confidence(Dnf([], w), 10, 1, backend).estimate == 0.0
+            assert batch_naive_confidence(Dnf([Condition()], w), 10, 1, backend).estimate == 1.0
 
     def test_relative_error_worse_than_karp_luby_for_rare_events(self):
         """The motivating gap: at equal budget, KL has far smaller relative
@@ -212,11 +245,12 @@ class TestNaiveBaseline:
         d = Dnf(clauses, w)
         truth = float(probability_by_decomposition(d))
         budget = 4000
-        kl_errors, mc_errors = [], []
-        for seed in range(15):
-            kl = KarpLubySampler(d, rng=seed)
-            kl.run(budget)
-            kl_errors.append(abs(kl.estimate - truth) / truth)
-            mc = naive_confidence(d, budget, rng=1000 + seed)
-            mc_errors.append(abs(mc.estimate - truth) / truth)
-        assert sum(kl_errors) < sum(mc_errors)
+        for backend in BACKENDS:
+            kl_errors, mc_errors = [], []
+            for seed in range(15):
+                kl = BatchKarpLubySampler(d, rng=seed, backend=backend)
+                kl.run(budget)
+                kl_errors.append(abs(kl.estimate - truth) / truth)
+                mc = batch_naive_confidence(d, budget, rng=1000 + seed, backend=backend)
+                mc_errors.append(abs(mc.estimate - truth) / truth)
+            assert sum(kl_errors) < sum(mc_errors)

@@ -256,15 +256,13 @@ class TestMixedWorkload:
         from repro.util.parallel import ShardExecutor
 
         def transcript(bounds_budget):
-            executor = ShardExecutor(workers) if workers > 1 else None
-            evaluator = ApproxQueryEvaluator(
-                _mixed_sigma_db(), eps0=0.1, rounds=40, rng=23,
-                backend="python", executor=executor,
-                bounds_budget=bounds_budget,
-            )
-            evaluator.evaluate(query(_SIGMA_QUERY))
-            if executor is not None:
-                executor.close()
+            with ShardExecutor(workers) as executor:
+                evaluator = ApproxQueryEvaluator(
+                    _mixed_sigma_db(), eps0=0.1, rounds=40, rng=23,
+                    backend="python", executor=executor,
+                    bounds_budget=bounds_budget,
+                )
+                evaluator.evaluate(query(_SIGMA_QUERY))
             return {
                 rec.data[0]: (
                     rec.decision.value,

@@ -6,7 +6,7 @@ time, never answers*.  This suite attacks the claim differentially:
 
 * random query trees (joins / products / selects / projects / unions
   over generated U-databases) are evaluated on every cell of the
-  ``workers ∈ {legacy, 1, 2, 4} × backends {numpy, python}`` matrix, and
+  ``workers ∈ {1, 2, 4} × backends {numpy, python}`` matrix, and
   every cell must produce identical decoded relations, identical
   (exact) confidences, and identical ``explain`` strategy choices;
 * a seed corpus of the worst shrunk failures — empty operands,
@@ -57,7 +57,7 @@ N_VARS = 6
 _EXECUTORS: dict[int, ShardExecutor] = {}
 
 
-def _executor(workers: int | None) -> ShardExecutor | None:
+def _executor(workers: int) -> ShardExecutor:
     """A cached small-threshold executor (pool shared across examples).
 
     ``min_shard_pairs=64`` / ``min_shard_items=2`` make hypothesis-sized
@@ -65,8 +65,6 @@ def _executor(workers: int | None) -> ShardExecutor | None:
     workload, so the determinism contract under test is the production
     one — only the profitability constants are scaled down.
     """
-    if workers is None:
-        return None
     if workers not in _EXECUTORS:
         _EXECUTORS[workers] = ShardExecutor(
             workers, min_shard_pairs=64, min_shard_items=2, min_shard_trials=256
@@ -130,11 +128,11 @@ def _queries():
 
 def _matrix_cells():
     for backend in BACKENDS:
-        for workers in (None,) + WORKER_MATRIX:
+        for workers in WORKER_MATRIX:
             yield backend, workers
 
 
-def _run_cell(db: UDatabase, q, backend: str, workers: int | None):
+def _run_cell(db: UDatabase, q, backend: str, workers: int):
     """One matrix cell: decoded relation, exact confidences, explain choices."""
     session = repro.connect(
         db,
@@ -358,7 +356,7 @@ class TestCandidateFanOutDeterminism:
     """σ̂ decisions identical at workers ∈ {1, 2, 4}, wide and narrow."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("n_groups", [20, 4])  # wide (fans out) / narrow (legacy)
+    @pytest.mark.parametrize("n_groups", [20, 4])  # wide (fans out) / narrow (sequential)
     def test_evaluate_with_guarantee_across_workers(self, backend, n_groups):
         q = rel("R").approx_select(col("P1") > lit(0.4), groups=[["A"]])
 

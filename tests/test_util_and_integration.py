@@ -9,7 +9,11 @@ import pytest
 
 from repro.algebra.expressions import col, lit
 from repro.algebra.relations import Relation
-from repro.confidence import KarpLubySampler, probability_by_decomposition
+from repro.confidence import (
+    BatchKarpLubySampler,
+    available_backends,
+    probability_by_decomposition,
+)
 from repro.core import Orthotope, epsilon_for_predicate, clamp_epsilon
 from repro.generators.hard import chain_dnf
 from repro.util.rng import ensure_rng, spawn_rng
@@ -68,7 +72,8 @@ class TestLemma51Statistically:
 
     Decide φ at the Karp–Luby estimates with the ε computed by Theorem
     5.2; the fraction of wrong decisions must respect Σδᵢ(ε) (with slack
-    for the conservativeness of the Chernoff bound).
+    for the conservativeness of the Chernoff bound).  Both trial kernels
+    are checked.
     """
 
     def test_decision_error_within_bound(self):
@@ -76,34 +81,36 @@ class TestLemma51Statistically:
         truth = float(probability_by_decomposition(d))
         threshold = truth * 0.75
         pred = col("p") >= lit(threshold)
-        runs, wrong, bounds = 60, 0, []
-        for seed in range(runs):
-            sampler = KarpLubySampler(d, rng=seed)
-            sampler.run(400)
-            p_hat = sampler.estimate
-            eps = clamp_epsilon(epsilon_for_predicate(pred, {"p": p_hat}))
-            bounds.append(min(0.5, sampler.error_bound(eps)))
-            if pred.evaluate({"p": p_hat}) is not True:
-                wrong += 1
-        mean_bound = sum(bounds) / len(bounds)
-        assert wrong / runs <= max(0.15, 3 * mean_bound)
+        for backend in available_backends():
+            runs, wrong, bounds = 60, 0, []
+            for seed in range(runs):
+                sampler = BatchKarpLubySampler(d, rng=seed, backend=backend)
+                sampler.run(400)
+                p_hat = sampler.estimate
+                eps = clamp_epsilon(epsilon_for_predicate(pred, {"p": p_hat}))
+                bounds.append(min(0.5, sampler.error_bound(eps)))
+                if pred.evaluate({"p": p_hat}) is not True:
+                    wrong += 1
+            mean_bound = sum(bounds) / len(bounds)
+            assert wrong / runs <= max(0.15, 3 * mean_bound)
 
     def test_orthotope_captures_truth_at_rate(self):
         """Pr[p ∉ orthotope(ε)] ≤ δ(ε) empirically."""
         d = chain_dnf(4)
         truth = float(probability_by_decomposition(d))
         eps = 0.15
-        runs, misses = 80, 0
-        deltas = []
-        for seed in range(runs):
-            sampler = KarpLubySampler(d, rng=1000 + seed)
-            sampler.run(600)
-            deltas.append(sampler.error_bound(eps))
-            box = Orthotope({"p": sampler.estimate}, eps)
-            if not box.contains({"p": truth}, closed=True):
-                misses += 1
-        mean_delta = sum(deltas) / len(deltas)
-        assert misses / runs <= max(0.1, 2 * mean_delta)
+        for backend in available_backends():
+            runs, misses = 80, 0
+            deltas = []
+            for seed in range(runs):
+                sampler = BatchKarpLubySampler(d, rng=1000 + seed, backend=backend)
+                sampler.run(600)
+                deltas.append(sampler.error_bound(eps))
+                box = Orthotope({"p": sampler.estimate}, eps)
+                if not box.contains({"p": truth}, closed=True):
+                    misses += 1
+            mean_delta = sum(deltas) / len(deltas)
+            assert misses / runs <= max(0.1, 2 * mean_delta)
 
 
 class TestEndToEndScenarios:
