@@ -97,11 +97,12 @@ class _EncodedDnf:
     changes with the hash seed.  Clause (variable, value) pairs become
     (column, code) pairs; a value outside its variable's domain gets the
     sentinel code −1, which no sampled world ever matches (the clause
-    has weight 0 and is unsatisfiable).
+    has weight 0 and is unsatisfiable).  The encoding keeps no reference
+    to the :class:`Dnf` itself, so a trial-block task pickles codes and
+    float bounds only.
     """
 
     __slots__ = (
-        "dnf",
         "variables",
         "value_bounds",
         "member_pairs",
@@ -112,7 +113,6 @@ class _EncodedDnf:
 
     def __init__(self, dnf: Dnf, variables: Sequence[Var] | None = None):
         """Encode ``dnf``; ``variables`` overrides the sorted column order."""
-        self.dnf = dnf
         self.variables = (
             sorted(dnf.variables, key=repr) if variables is None else list(variables)
         )

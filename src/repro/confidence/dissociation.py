@@ -173,17 +173,13 @@ def dissociation_intervals(
     results concatenate in shard order — bit-identical at every worker
     count, exactly like the exact strategies' sharded batches.
     """
-    shards = executor.plan_items(len(dnfs))
-    if len(shards) > 1:
-        results = executor.map(
-            _interval_shard_task,
-            [(list(dnfs[start:stop]), budget) for start, stop in shards],
-        )
-        return [interval for shard in results for interval in shard]
-    return [dissociation_interval(dnf, budget) for dnf in dnfs]
+    sharded = executor.map_items(_interval_shard_task, dnfs, budget)
+    if sharded is not None:
+        return sharded
+    return _interval_shard_task(dnfs, budget)
 
 
-def _interval_shard_task(dnfs: list[Dnf], budget: int) -> list[BoundInterval]:
+def _interval_shard_task(dnfs: Sequence[Dnf], budget: int) -> list[BoundInterval]:
     """One shard of a sharded bounds batch (module level: pickles)."""
     return [dissociation_interval(dnf, budget) for dnf in dnfs]
 

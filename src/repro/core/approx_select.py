@@ -64,7 +64,7 @@ from repro.urel.translate import (
 )
 from repro.urel.udatabase import UDatabase
 from repro.urel.urelation import URelation, URow
-from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
 from repro.util.rng import ensure_rng, spawn_rng
 
 __all__ = ["ApproxQueryEvaluator", "DecisionRecord", "UnreliableInputError"]
@@ -492,30 +492,20 @@ class ApproxQueryEvaluator:
         candidates that still sample.
         """
         executor = self.executor
-        shards = executor.plan_items(len(specs))
-        if len(shards) > 1:
-            base = self.rng.getrandbits(64)
-            tasks = [
-                (
-                    node.predicate,
-                    [
-                        (specs[i][2], specs[i][1], shard_seed(base, i))
-                        for i in range(start, stop)
-                    ],
-                    self.eps0,
-                    self.rounds,
-                    self.decision_delta,
-                    self.epsilon_method,
-                    self.backend,
-                    self.bounds_budget,
-                )
-                for start, stop in shards
-            ]
-            return [
-                decision
-                for shard in executor.map(decide_candidates_shard, tasks)
-                for decision in shard
-            ]
+        decisions = executor.map_items(
+            decide_candidates_shard,
+            [(dnfs, cand_env, position) for position, (_c, cand_env, dnfs) in enumerate(specs)],
+            node.predicate,
+            self.eps0,
+            self.rounds,
+            self.decision_delta,
+            self.epsilon_method,
+            self.backend,
+            self.bounds_budget,
+            rng=self.rng,
+        )
+        if decisions is not None:
+            return decisions
         decisions = []
         for _cand, cand_env, dnfs in specs:
             approximator = PredicateApproximator(

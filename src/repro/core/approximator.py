@@ -57,7 +57,7 @@ from repro.core.values import (
     KarpLubyValue,
     as_approximable,
 )
-from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor
+from repro.util.parallel import SERIAL_EXECUTOR, ShardExecutor, shard_seed
 from repro.util.rng import ensure_rng, spawn_rng
 
 __all__ = [
@@ -411,34 +411,37 @@ def _is_linear(predicate: BoolExpr) -> bool:
 
 
 def decide_candidates_shard(
-    predicate: BoolExpr,
     specs: list[tuple[Mapping[str, "Dnf"], Mapping[str, object], int]],
+    predicate: BoolExpr,
     eps0: float,
     rounds: int | None,
     decision_delta: float | None,
     epsilon_method: str,
     backend: str | None,
-    bounds_budget: int | None = None,
+    bounds_budget: int | None,
+    base: int,
+    shard_index: int,
 ) -> list[PredicateDecision]:
     """Decide one shard of σ̂ candidate tuples (module level: pickles).
 
-    Each spec is ``(values, constants, seed)`` for one candidate of an
-    approximate selection; the seed was derived from the candidate's
-    *position* in the (sorted) candidate order by
-    :func:`repro.util.parallel.shard_seed`, so every worker count — and
-    the in-process serial fallback — replays identical streams.  The
+    Each spec is ``(values, constants, position)`` for one candidate of
+    an approximate selection; its stream is seeded by
+    ``shard_seed(base, position)`` — the candidate's *position* in the
+    (sorted) candidate order, never the shard it landed in
+    (``shard_index`` is unused) — so every worker count, and the
+    in-process serial fallback, replays identical streams.  The
     per-candidate Figure 3 runs never nest a pool of their own: each
     candidate's trial allocation is one worker's work by construction,
     which is exactly what makes candidate fan-out profitable for wide
     selections where per-value trial sharding has nothing left to cut.
     """
     decisions = []
-    for values, constants, seed in specs:
+    for values, constants, position in specs:
         approximator = PredicateApproximator(
             predicate,
             values,
             eps0,
-            random.Random(seed),
+            random.Random(shard_seed(base, position)),
             constants=constants,
             epsilon_method=epsilon_method,
             backend=backend,

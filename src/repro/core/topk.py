@@ -271,7 +271,9 @@ def race_topk(
             (samplers[i]._enc, count, shard_seed(shard_seed(base, i), rounds))
             for i, count in allocations
         ]
-        positives = _run_round(items, concrete, executor)
+        positives = executor.map_items(_race_shard_task, items, concrete)
+        if positives is None:
+            positives = _race_shard_task(items, concrete)
         for (i, count), won in zip(allocations, positives):
             sampler = samplers[i]
             # Trial-count-weighted merge, exactly the sampler's own
@@ -328,18 +330,6 @@ def _apply_decisions(status: list[int], lo: list[float], hi: list[float], k: int
             status[i] = _ELIMINATED
         elif _kth_excluding(his, hi[i], k) <= lo[i]:
             status[i] = _ADMITTED
-
-
-def _run_round(items: list[tuple], backend: str, executor: ShardExecutor) -> list[int]:
-    """Per-candidate positives for one round's allocation, sharded when profitable."""
-    shards = executor.plan_items(len(items))
-    if len(shards) > 1:
-        results = executor.map(
-            _race_shard_task,
-            [(items[start:stop], backend) for start, stop in shards],
-        )
-        return [won for shard in results for won in shard]
-    return _race_shard_task(items, backend)
 
 
 def _ranked_entries(

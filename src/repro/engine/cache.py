@@ -22,7 +22,10 @@ variables and must not share an entry.
 
 Entries also carry an **approximate byte size** (:func:`approx_size`),
 surfaced as ``CacheStats.approx_bytes`` and through
-``ProbDB.cache_stats``.  That is the accounting hook the serving
+``ProbDB.cache_stats``.  Sizing walks the entry's object graph, so it
+runs only when the number is needed: on ``put`` while a budget is
+attached, otherwise when ``approx_bytes`` or ``stats`` is read.  Each
+entry is sized at most once.  The size is the accounting hook the serving
 layer's global cache budget (:mod:`repro.server.budget`) needs: a
 server multiplexing many sessions registers each session's cache with
 one :class:`~repro.server.budget.CacheBudget` and evicts *across* the
@@ -152,7 +155,8 @@ class CacheStats:
     ``approx_bytes`` is the summed :func:`approx_size` of the live
     entries (keys and values) — the observability hook the global
     cache-budget evictor consumes, useful standalone for sizing
-    ``maxsize`` against real workloads.
+    ``maxsize`` against real workloads.  :attr:`MemoCache.stats` sizes
+    any entry not yet sized before it hands this object out.
     """
 
     __slots__ = ("hits", "misses", "entries", "approx_bytes")
@@ -179,9 +183,10 @@ class CacheStats:
 
 
 class _Entry:
+    # ``nbytes`` is None until the entry is sized (see MemoCache._settle).
     __slots__ = ("value", "nbytes", "tick", "volatile")
 
-    def __init__(self, value, nbytes: int, tick: int, volatile: bool):
+    def __init__(self, value, nbytes: int | None, tick: int, volatile: bool):
         self.value = value
         self.nbytes = nbytes
         self.tick = tick
@@ -214,7 +219,8 @@ class MemoCache:
     def __init__(self, maxsize: int | None = 1024):
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()  # detlint: guarded-by(_lock)
-        self.stats = CacheStats()  # detlint: guarded-by(_lock)
+        self._stats = CacheStats()  # detlint: guarded-by(_lock)
+        self._unsized = 0  # detlint: guarded-by(_lock)
         self._lock = threading.Lock()
         self._budget = None
 
@@ -223,10 +229,42 @@ class MemoCache:
         return self.maxsize is None or self.maxsize > 0
 
     @property
+    def stats(self) -> CacheStats:
+        """The live counters, with every entry's bytes counted."""
+        self._settle()
+        return self._stats
+
+    @property
     def approx_bytes(self) -> int:
         """Summed approximate size of the live entries, in bytes."""
+        self._settle()
         with self._lock:
-            return self.stats.approx_bytes
+            return self._stats.approx_bytes
+
+    def _settle(self) -> None:
+        """Size the entries that were put without a size.
+
+        The walks run outside the lock, like ``put``'s; an entry evicted
+        or replaced meanwhile is simply not counted.
+        """
+        with self._lock:
+            if not self._unsized:
+                return
+            pending = [(k, e) for k, e in self._data.items() if e.nbytes is None]
+        sizes = [approx_size(key) + approx_size(entry.value) for key, entry in pending]
+        with self._lock:
+            for (key, entry), nbytes in zip(pending, sizes):
+                if entry.nbytes is None and self._data.get(key) is entry:
+                    entry.nbytes = nbytes
+                    self._unsized -= 1
+                    self._stats.approx_bytes += nbytes
+
+    def _drop(self, entry: _Entry) -> None:  # detlint: holds(_lock)
+        """Take a removed entry out of the byte accounting."""
+        if entry.nbytes is None:
+            self._unsized -= 1
+        else:
+            self._stats.approx_bytes -= entry.nbytes
 
     def set_budget(self, budget) -> None:
         """Attach/detach the global budget poked after growing puts.
@@ -245,11 +283,11 @@ class MemoCache:
             try:
                 entry = self._data[key]
             except KeyError:
-                self.stats.misses += 1
+                self._stats.misses += 1
                 return None
             self._data.move_to_end(key)
             entry.tick = _next_tick()
-            self.stats.hits += 1
+            self._stats.hits += 1
             return entry.value
 
     def put(self, key, value, volatile: bool = False) -> None:
@@ -258,18 +296,25 @@ class MemoCache:
         from the session RNG)."""
         if self.maxsize is not None and self.maxsize <= 0:
             return
-        # Size estimation walks the value graph; do it outside the lock.
-        nbytes = approx_size(key) + approx_size(value)
+        # Only a budget needs the size at once (it rebalances below);
+        # otherwise the entry is sized when someone reads the bytes.
+        # The walk covers the value graph; do it outside the lock.
+        nbytes = None
+        if self._budget is not None:
+            nbytes = approx_size(key) + approx_size(value)
         with self._lock:
             old = self._data.pop(key, None)
             if old is not None:
-                self.stats.approx_bytes -= old.nbytes
+                self._drop(old)
             elif self.maxsize is not None and len(self._data) >= self.maxsize:
                 _, evicted = self._data.popitem(last=False)
-                self.stats.approx_bytes -= evicted.nbytes
+                self._drop(evicted)
             self._data[key] = _Entry(value, nbytes, _next_tick(), volatile)
-            self.stats.approx_bytes += nbytes
-            self.stats.entries = len(self._data)
+            if nbytes is None:
+                self._unsized += 1
+            else:
+                self._stats.approx_bytes += nbytes
+            self._stats.entries = len(self._data)
             # Read the attachment under the same lock set_budget writes
             # it: a put racing a detach either sees None (no poke) or
             # the budget it was attached to at insertion time.  The
@@ -314,15 +359,19 @@ class MemoCache:
             if expected_tick is not None and victim_entry.tick != expected_tick:
                 return 0
             entry = self._data.pop(victim)
-            self.stats.approx_bytes -= entry.nbytes
-            self.stats.entries = len(self._data)
-            return entry.nbytes
+            self._drop(entry)
+            self._stats.entries = len(self._data)
+        if entry.nbytes is None:
+            # Put while no budget was attached: size it for the caller.
+            return approx_size(victim) + approx_size(entry.value)
+        return entry.nbytes
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-            self.stats.entries = 0
-            self.stats.approx_bytes = 0
+            self._unsized = 0
+            self._stats.entries = 0
+            self._stats.approx_bytes = 0
 
     def __len__(self) -> int:
         with self._lock:

@@ -234,9 +234,11 @@ def _conf_fans_out(executor, strategy, dnfs) -> bool | None:
     """Whether a conf-family workload clears the profitable shard size.
 
     Mirrors the runtime's two levers: the per-tuple DNF list shards when
-    ``plan_items`` cuts it, and a batch too short to cut still fans out
-    when some tuple's Monte-Carlo budget alone fills worker blocks
-    (``plan_trials`` of :meth:`ConfidenceStrategy.trial_budget`).
+    ``plan_items`` cuts it (``auto`` cuts the whole batch once, before
+    routing, so no per-method split is needed), and a batch too short
+    to cut still fans out when some tuple's Monte-Carlo budget alone
+    fills worker blocks (``plan_trials`` of
+    :meth:`ConfidenceStrategy.trial_budget`).
     Serial sessions are never annotated, so they skip the test.
     """
     if executor.workers < 2:

@@ -193,31 +193,22 @@ class ConfidenceStrategy:
         strategy itself travels to the workers, which is why strategy
         instances must stay picklable and must not hold executors.
         """
-        shards = executor.plan_items(len(dnfs))
-        if len(shards) <= 1:
-            return None
-        # A strategy that never samples needs no shard entropy; a fixed
-        # base keeps the shard-seed derivation uniform without touching
-        # the session stream (the workers ignore their generators).
-        base = rng.getrandbits(64) if self.consumes_rng else 0
-        results = executor.map(
-            _strategy_shard_task,
-            [
-                (self, list(dnfs[start:stop]), shard_seed(base, i))
-                for i, (start, stop) in enumerate(shards)
-            ],
+        # A strategy that never samples needs no shard entropy: drawing
+        # none keeps the session stream untouched (its workers ignore
+        # their generators).
+        return executor.map_items(
+            _strategy_shard_task, dnfs, self, rng=rng if self.consumes_rng else None
         )
-        return [report for shard in results for report in shard]
 
     def __repr__(self) -> str:
         return f"<strategy {self.name!r}>"
 
 
 def _strategy_shard_task(
-    strategy: ConfidenceStrategy, dnfs: list[Dnf], seed: int
+    dnfs: list[Dnf], strategy: ConfidenceStrategy, base: int = 0, index: int = 0
 ) -> list[ConfidenceReport]:
     """One shard of a sharded ``compute_batch`` (module level: pickles)."""
-    rng = random.Random(seed)
+    rng = random.Random(shard_seed(base, index))
     return [strategy.compute(dnf, rng) for dnf in dnfs]
 
 
@@ -673,19 +664,26 @@ class AutoStrategy(ConfidenceStrategy):
             upper=report.upper,
         )
 
+    def _answer(self, dnf: Dnf) -> ConfidenceReport | None:
+        """The report of an exact- or bound-routed ``dnf``; ``None`` if it samples."""
+        method = self.choose(dnf)
+        if method == self._sampler.name:
+            return None
+        solver = self._exact if method == self._exact.name else self._bounds
+        # Neither solver reads its generator (consumes_rng is False).
+        return self._rebrand(solver.compute(dnf, None), method)
+
     def compute(
         self,
         dnf: Dnf,
         rng: random.Random,
         executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> ConfidenceReport:
-        method = self.choose(dnf)
-        if method == self._exact.name:
-            return self._rebrand(self._exact.compute(dnf, rng), method)
-        if method == self._bounds.name:
-            return self._rebrand(self._bounds.compute(dnf, rng), method)
+        report = self._answer(dnf)
+        if report is not None:
+            return report
         return self._rebrand(
-            self._sampler.compute(dnf, rng, executor=executor), method
+            self._sampler.compute(dnf, rng, executor=executor), self._sampler.name
         )
 
     def compute_batch(
@@ -694,32 +692,22 @@ class AutoStrategy(ConfidenceStrategy):
         rng: random.Random,
         executor: ShardExecutor = SERIAL_EXECUTOR,
     ) -> list[ConfidenceReport]:
-        """Route the batch per tuple, then run each backend's batched path.
+        """Route and solve the batch in one fan-out, then sample the rest.
 
-        All exact-routed tuples go through the exact strategy's (list-
-        sharding) batch, all sampler-routed tuples through the sampler's
-        :meth:`compute_batch`, so trial drawing is amortized and both
-        sub-batches fan out over the executor.  Routing itself is
-        deterministic (:meth:`choose` never samples), so the split — and
-        with it every shard plan downstream — is worker-count invariant.
+        The whole batch is cut once by the executor's
+        :meth:`~repro.util.parallel.ShardExecutor.plan_items`; each shard
+        routes its DNFs (:meth:`choose`) and answers the exact- and
+        point-bound-routed ones where it runs.  Only the sampler-routed
+        DNFs come back unanswered, and they go, in batch order, to the
+        sampler's :meth:`~KarpLuby.compute_batch` — the only step that
+        draws session entropy.  Routing and solving are pure functions
+        of the DNF, so the split, and every shard plan and seed
+        downstream, is the same at every worker count.
         """
-        methods = [self.choose(dnf) for dnf in dnfs]
-        reports: list[ConfidenceReport | None] = [None] * len(dnfs)
-        exact = [i for i, m in enumerate(methods) if m == self._exact.name]
-        bounded = [i for i, m in enumerate(methods) if m == self._bounds.name]
-        sampled = [i for i, m in enumerate(methods) if m == self._sampler.name]
-        if exact:
-            batch = self._exact.compute_batch(
-                [dnfs[i] for i in exact], rng, executor=executor
-            )
-            for i, report in zip(exact, batch):
-                reports[i] = self._rebrand(report, self._exact.name)
-        if bounded:
-            batch = self._bounds.compute_batch(
-                [dnfs[i] for i in bounded], rng, executor=executor
-            )
-            for i, report in zip(bounded, batch):
-                reports[i] = self._rebrand(report, self._bounds.name)
+        reports = executor.map_items(_route_shard_task, dnfs, self)
+        if reports is None:
+            reports = _route_shard_task(dnfs, self)
+        sampled = [i for i, report in enumerate(reports) if report is None]
         if sampled:
             batch = self._sampler.compute_batch(
                 [dnfs[i] for i in sampled], rng, executor=executor
@@ -727,3 +715,11 @@ class AutoStrategy(ConfidenceStrategy):
             for i, report in zip(sampled, batch):
                 reports[i] = self._rebrand(report, self._sampler.name)
         return reports
+
+
+def _route_shard_task(
+    dnfs: Sequence[Dnf], strategy: AutoStrategy
+) -> list[ConfidenceReport | None]:
+    """One shard of ``auto``'s batch: exact and bound answers, ``None`` to
+    sample (module level: pickles)."""
+    return [strategy._answer(dnf) for dnf in dnfs]

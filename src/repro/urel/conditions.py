@@ -71,6 +71,14 @@ class Condition:
         self._hash = hash(frozenset(mapping.items()))
         return self
 
+    def __getstate__(self):
+        # The mapping alone: the hash is recomputed where it is loaded.
+        return self._map
+
+    def __setstate__(self, state) -> None:
+        self._map = state
+        self._hash = hash(frozenset(state.items()))
+
     # ------------------------------------------------------------- protocol
     def __hash__(self) -> int:
         return self._hash

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import threading
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
 
@@ -44,8 +44,9 @@ class VariableTable:
     shares the session (two racing repair-keys must never produce a
     table whose contents and version disagree).  Reads stay lock-free —
     the dict is only ever *extended*, and version checks are advisory.
-    The lock never travels: pickling (DNFs ship W tables to shard
-    workers) and copying recreate a fresh one.
+    The lock never travels: pickling and copying recreate a fresh one.
+    A pickled :class:`~repro.confidence.dnf.Dnf` does not carry this
+    table at all, only its :meth:`restrict`-ed slice.
     """
 
     __slots__ = ("_vars", "_version", "_lock")
@@ -164,6 +165,21 @@ class VariableTable:
         with self._lock:
             clone._vars = {var: dict(dist) for var, dist in self._vars.items()}
             clone._version = self._version
+        return clone
+
+    def restrict(self, variables: Iterable[Var]) -> "VariableTable":
+        """A new table holding only ``variables``, in the given order.
+
+        What a :class:`~repro.confidence.dnf.Dnf` ships to shard workers
+        instead of the whole session table: every solver and sampler
+        reads only the variables its clauses mention.  Distributions
+        keep their value order (the samplers' inverse-CDF coding depends
+        on it); ``version`` counts the variables, as if each were added.
+        """
+        clone = VariableTable()
+        with self._lock:
+            clone._vars = {var: self._vars[var] for var in variables}
+            clone._version = len(clone._vars)
         return clone
 
     def as_relation(self) -> Relation:

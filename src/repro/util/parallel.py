@@ -354,15 +354,17 @@ class ShardExecutor:
         propagated.
 
         ``validate=False`` skips the up-front pickle dry run.  The dry
-        run costs one extra serialization of every task, which the
-        columnar algebra — whose tasks are pure int64 code matrices and
-        index slices, picklable by construction — does not want to pay
-        per pair-merge.  Callers passing arbitrary user data (strategy
-        instances, user-defined variable names) must keep the default.
+        run's bytes are what the pool then ships, so each task is
+        pickled once either way; skipping it saves the columnar algebra
+        — whose tasks are pure int64 code matrices and index slices,
+        picklable by construction — only the up-front pass over every
+        task.  Callers passing arbitrary user data (strategy instances,
+        user-defined variable names) must keep the default.
         """
         tasks = list(tasks)
         if len(tasks) <= 1 or not self.parallel:
             return [fn(*args) for args in tasks]
+        payloads = None
         if validate:
             # Validate picklability up front and never hand the pool an
             # unpicklable item: CPython's pool wedges its manager thread
@@ -373,8 +375,10 @@ class ShardExecutor:
             # genuine task exceptions unambiguous: anything raised after
             # this point is from the task.
             try:
-                for args in tasks:
+                payloads = [
                     pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL)
+                    for args in tasks
+                ]
             except (pickle.PicklingError, TypeError, AttributeError):
                 return [fn(*args) for args in tasks]
         pool = self._ensure_pool()
@@ -384,7 +388,10 @@ class ShardExecutor:
 
         futures = []
         try:
-            futures = [pool.submit(fn, *args) for args in tasks]
+            if payloads is None:
+                futures = [pool.submit(fn, *args) for args in tasks]
+            else:
+                futures = [pool.submit(_run_pickled, payload) for payload in payloads]
             return [f.result() for f in futures]
         except (pickle.PicklingError, TypeError, AttributeError):
             # ``submit`` never pickles synchronously — a work item that
@@ -407,6 +414,41 @@ class ShardExecutor:
             self._drain(futures)
             self._discard_pool(broken=True)
             return [fn(*args) for args in tasks]
+
+    def map_items(
+        self,
+        fn: Callable,
+        items: Sequence,
+        *args,
+        rng: random.Random | None = None,
+    ) -> list | None:
+        """Cut ``items`` by :meth:`plan_items`, map ``fn`` over the shards,
+        and concatenate; ``None`` when the plan leaves the list whole.
+
+        Shard ``i`` over ``[start, stop)`` runs
+        ``fn(items[start:stop], *args)`` and returns one result per item,
+        so the concatenation lines up with ``items``.  ``None`` (one
+        shard) leaves the serial path to the caller, which often differs
+        from a one-shard map (no task, other seeding).
+
+        With ``rng``, a cut batch draws one ``rng.getrandbits(64)`` of
+        batch entropy ``base`` and shard ``i`` gets ``base, i`` as two
+        more arguments, to seed its streams with :func:`shard_seed` (per
+        shard from ``i``, or per item from positions the items carry).
+        A list the plan leaves whole draws nothing.
+        """
+        shards = self.plan_items(len(items))
+        if len(shards) <= 1:
+            return None
+        if rng is None:
+            tasks = [(list(items[start:stop]), *args) for start, stop in shards]
+        else:
+            base = rng.getrandbits(64)
+            tasks = [
+                (list(items[start:stop]), *args, base, i)
+                for i, (start, stop) in enumerate(shards)
+            ]
+        return [result for shard in self.map(fn, tasks) for result in shard]
 
     @staticmethod
     def _drain(futures) -> None:
@@ -478,6 +520,12 @@ class ShardExecutor:
 SERIAL_EXECUTOR = ShardExecutor(1)
 """The default executor of every library entry point: the shard plan run
 serially, in process.  It never creates a pool, so sharing it is free."""
+
+
+def _run_pickled(payload: bytes):
+    """Run a task pickled by :meth:`ShardExecutor.map`'s dry run (in a worker)."""
+    fn, args = pickle.loads(payload)
+    return fn(*args)
 
 
 def _shutdown_pool(pool) -> None:

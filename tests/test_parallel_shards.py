@@ -166,6 +166,42 @@ class TestShardExecutor:
         with pytest.raises(ValueError):
             ShardExecutor(-1)
 
+    def test_map_items_concatenates_and_seeds_by_shard_index(self):
+        items = list(range(40))
+        for workers in (1, 2):
+            with ShardExecutor(workers) as ex:
+                assert ex.map_items(_squares, items) == [i * i for i in items]
+                rng = random.Random(5)
+                seeded = ex.map_items(_squares_and_seed, items, rng=rng)
+            base = random.Random(5).getrandbits(64)
+            shards = ex.plan_items(len(items))
+            assert seeded == [
+                (i * i, shard_seed(base, k))
+                for k, (start, stop) in enumerate(shards)
+                for i in range(start, stop)
+            ]
+            assert rng.getstate() == _after_one_draw(5)
+
+    def test_map_items_leaves_short_lists_and_the_generator_alone(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert ShardExecutor(2).map_items(_squares, list(range(15)), rng=rng) is None
+        assert rng.getstate() == state
+
+
+def _after_one_draw(seed):
+    rng = random.Random(seed)
+    rng.getrandbits(64)
+    return rng.getstate()
+
+
+def _squares(xs):
+    return [x * x for x in xs]
+
+
+def _squares_and_seed(xs, base, index):
+    return [(x * x, shard_seed(base, index)) for x in xs]
+
 
 def _square(x):
     return x * x

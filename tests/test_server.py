@@ -184,6 +184,35 @@ class TestCacheAccounting:
         assert cache.approx_bytes == b1
         assert cache.stats.entries == 1
 
+    def test_sizing_is_lazy_without_a_budget_and_memoized(self, monkeypatch):
+        import repro.engine.cache as cache_module
+
+        walks = []
+        real = cache_module.approx_size
+
+        def counting(obj, *args, **kwargs):
+            walks.append(obj)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "approx_size", counting)
+        cache = MemoCache(8)
+        cache.put("k1", list(range(100)))
+        cache.put("k2", list(range(100)))
+        assert walks == []  # no budget attached: nothing sized on put
+        first = cache.approx_bytes
+        assert first == real("k1") + real("k2") + 2 * real(list(range(100)))
+        assert len(walks) == 4  # key and value of each entry, once
+        assert cache.stats.approx_bytes == first and cache.approx_bytes == first
+        assert len(walks) == 4  # memoized: reads walk nothing again
+        budget = CacheBudget(max_bytes=None)
+        budget.register(cache)
+        cache.put("k3", "v")
+        assert len(walks) == 6  # a budget sizes on put, as it rebalances
+        unsized = MemoCache(8)
+        unsized.put("k", list(range(100)))
+        assert unsized.evict_lru() == real("k") + real(list(range(100)))
+        assert unsized.approx_bytes == 0 and len(unsized) == 0
+
     def test_lru_tick_skips_volatile(self):
         cache = MemoCache(8)
         cache.put("pinned", "sampled", volatile=True)

@@ -1,8 +1,8 @@
 """DET003 — shard kernels must be module-level functions.
 
 ``ShardExecutor`` pickles the kernel when the process backend is active
-(fork *and* spawn), so anything submitted to ``.map``/``.submit`` must
-be importable by qualified name.  Lambdas, closures (functions defined
+(fork *and* spawn), so anything submitted to ``.map``/``.map_items``/
+``.submit`` must be importable by qualified name.  Lambdas, closures (functions defined
 inside another function), module-level ``name = lambda ...`` bindings
 (their ``__qualname__`` is still ``<lambda>``), and bound methods all
 fail that test — some loudly under spawn, some only on the process
@@ -24,7 +24,7 @@ import ast
 from tools.detlint.framework import Rule, dotted_name, register_rule
 
 _DEFAULT_EXECUTOR_NAMES = ["executor", "_executor", "pool", "_pool"]
-_SUBMIT_METHODS = frozenset({"map", "submit"})
+_SUBMIT_METHODS = frozenset({"map", "map_items", "submit"})
 
 
 @register_rule
